@@ -50,7 +50,7 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
                    help="Markov order of the bootstrap source regeneration (default: l)")
     g.add_argument("--seed", type=int, default=0, help="master seed")
     g.add_argument("--threads", type=int, default=1,
-                   help="worker threads for replications (never changes results)")
+                   help="accepted for compatibility; has no effect")
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -248,10 +248,22 @@ def _emit_report(report: AnalysisReport, out: Path, stem: str) -> None:
     print(f"report -> {out / (stem + '_report.csv')} and .json")
 
 
+def _write_plot_csv(path: Path, header: list[str], rows) -> None:
+    """One line per (leading fields, estimate): the fields, then ETE, p-value and significance."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header + ["ete", "p_value", "significant"])
+        for fields, est in rows:
+            p = est.p_value
+            w.writerow([*fields, format_value(est.ete), "" if p is None else format_value(p),
+                        "" if p is None else int(p < SIGNIFICANCE)])
+    print(f"plot data -> {path}")
+
+
 def cmd_te(args) -> int:
     source, targets = _load_te_inputs(args)
     spec, series = _analysis_spec(args, source, targets)
-    report = run_analysis(spec, series, n_jobs=args.threads)
+    report = run_analysis(spec, series)
     _emit_report(report, Path(args.out), "te")
     for est in report.rows:
         p = "n/a" if est.p_value is None else format_value(est.p_value)
@@ -265,19 +277,13 @@ def cmd_lagsweep(args) -> int:
     spec, series = _analysis_spec(args, source, targets,
                                   lag_range=(args.min_lag, args.max_lag),
                                   include_base_rows=False, lag_mode=args.mode)
-    report = run_analysis(spec, series, n_jobs=args.threads)
+    report = run_analysis(spec, series)
     out = Path(args.out)
     _emit_report(report, out, "lagsweep")
     if args.plot_data:
-        with open(out / "lagsweep_plot.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["direction", "lag", "ete", "p_value", "significant"])
-            for direction, curve in report.lag_curves.items():
-                for lag, est in curve:
-                    sig = "" if est.p_value is None else int(est.p_value < SIGNIFICANCE)
-                    w.writerow([direction, lag, format_value(est.ete),
-                                "" if est.p_value is None else format_value(est.p_value), sig])
-        print(f"plot data -> {out / 'lagsweep_plot.csv'}")
+        _write_plot_csv(out / "lagsweep_plot.csv", ["direction", "lag"],
+                        (([direction, lag], est) for direction, curve in report.lag_curves.items()
+                         for lag, est in curve))
     _write_run_config(args, "lagsweep")
     return 0
 
@@ -287,21 +293,14 @@ def cmd_windows(args) -> int:
     source, targets = _load_te_inputs(args)
     spec, series = _analysis_spec(args, source, targets, window_scheme=scheme,
                                   include_base_rows=False)
-    report = run_analysis(spec, series, n_jobs=args.threads)
+    report = run_analysis(spec, series)
     out = Path(args.out)
     _emit_report(report, out, "windows")
     if args.plot_data:
-        with open(out / "windows_plot.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["direction", "window_index", "window_start", "window_end",
-                        "ete", "p_value", "significant"])
-            for wr in report.window_results:
-                for est in (wr.forward, wr.backward):
-                    sig = "" if est.p_value is None else int(est.p_value < SIGNIFICANCE)
-                    w.writerow([est.direction, wr.index, wr.start.isoformat(),
-                                wr.end.isoformat(), format_value(est.ete),
-                                "" if est.p_value is None else format_value(est.p_value), sig])
-        print(f"plot data -> {out / 'windows_plot.csv'}")
+        _write_plot_csv(out / "windows_plot.csv",
+                        ["direction", "window_index", "window_start", "window_end"],
+                        (([est.direction, wr.index, wr.start.isoformat(), wr.end.isoformat()], est)
+                         for wr in report.window_results for est in (wr.forward, wr.backward)))
     _write_run_config(args, "windows")
     return 0
 
@@ -415,22 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv:
-        argv = _inject_config(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    json_errors = "--json-errors" in argv
     try:
+        args = build_parser().parse_args(_inject_config(argv))
+        json_errors = args.json_errors
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
         return args.func(args)
-    except TeflowError as err:
-        if getattr(args, "json_errors", False):
-            payload = {"error": type(err).__name__, "message": str(err),
-                       "exit_code": err.exit_code}
+    except (TeflowError, OSError) as err:
+        # an unreadable --config or an uncreatable --out is bad input, not a crash
+        exit_code = err.exit_code if isinstance(err, TeflowError) else 2
+        if json_errors:
+            payload = {"error": type(err).__name__, "message": str(err), "exit_code": exit_code}
             print(json.dumps(payload), file=sys.stderr)
         else:
             print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
-
+        return exit_code
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -43,8 +43,8 @@ def _direction_config(config: TeConfig, index: int) -> TeConfig:
     return replace(config, seed=derive_seed(config.seed, _DOMAIN_DIRECTION, index))
 
 
-def run_pair(source: DatedSeries, target: DatedSeries, config: TeConfig,
-             n_jobs: int = 1) -> tuple[TeEstimate, TeEstimate]:
+def run_pair(source: DatedSeries, target: DatedSeries,
+             config: TeConfig) -> tuple[TeEstimate, TeEstimate]:
     """Both directional estimates for one aligned pair.
 
     Series are symbolized individually (after any transforms, which the caller
@@ -64,9 +64,9 @@ def run_pair(source: DatedSeries, target: DatedSeries, config: TeConfig,
         s_sym = symbolize(source, config.quantile_cuts)
         t_sym = symbolize(target, config.quantile_cuts)
     forward = estimate(t_sym, s_sym, _direction_config(config, 0),
-                       direction=f"{src_name}->{tgt_name}", n_jobs=n_jobs)
+                       direction=f"{src_name}->{tgt_name}")
     backward = estimate(s_sym, t_sym, _direction_config(config, 1),
-                        direction=f"{tgt_name}->{src_name}", n_jobs=n_jobs)
+                        direction=f"{tgt_name}->{src_name}")
     return forward, backward
 
 
@@ -81,8 +81,8 @@ def _coverage_check(n_obs: int, config: TeConfig, lag: int) -> None:
 
 
 def lag_sweep(source: DatedSeries, target: DatedSeries, config: TeConfig,
-              lag_range: tuple[int, int], mode: str = "history",
-              n_jobs: int = 1) -> dict[str, list[tuple[int, TeEstimate]]]:
+              lag_range: tuple[int, int],
+              mode: str = "history") -> dict[str, list[tuple[int, TeEstimate]]]:
     """Estimates per lag for both directions.
 
     The default interpretation varies both history lengths jointly
@@ -100,7 +100,7 @@ def lag_sweep(source: DatedSeries, target: DatedSeries, config: TeConfig,
         if mode == "history":
             cfg = replace(config, k=lag, l=lag)
             _coverage_check(len(source), cfg, lag)
-            fwd, bwd = run_pair(source, target, cfg, n_jobs=n_jobs)
+            fwd, bwd = run_pair(source, target, cfg)
         else:
             shift = lag - 1
             if len(source) - shift <= max(config.k, config.l) + 1:
@@ -109,7 +109,7 @@ def lag_sweep(source: DatedSeries, target: DatedSeries, config: TeConfig,
             dates = target.dates[shift:]
             src = replace(source, dates=dates, values=source.values[: n - shift])
             tgt = target.window(shift, n)
-            fwd, bwd = run_pair(src, tgt, config, n_jobs=n_jobs)
+            fwd, bwd = run_pair(src, tgt, config)
         curves.setdefault(fwd.direction, []).append((lag, fwd))
         curves.setdefault(bwd.direction, []).append((lag, bwd))
     return curves
@@ -141,7 +141,7 @@ class WindowResult:
 
 
 def window_analysis(source: DatedSeries, target: DatedSeries, config: TeConfig,
-                    scheme: WindowScheme, n_jobs: int = 1) -> tuple[list[WindowResult], int]:
+                    scheme: WindowScheme) -> tuple[list[WindowResult], int]:
     """Full run_pair per consecutive, non-overlapping, equal-sized window.
 
     Windows partition a prefix of the aligned sample; remainder observations
@@ -169,7 +169,7 @@ def window_analysis(source: DatedSeries, target: DatedSeries, config: TeConfig,
     results = []
     for w in range(count):
         lo, hi = w * size, (w + 1) * size
-        fwd, bwd = run_pair(source.window(lo, hi), target.window(lo, hi), config, n_jobs=n_jobs)
+        fwd, bwd = run_pair(source.window(lo, hi), target.window(lo, hi), config)
         results.append(WindowResult(index=w, start=source.dates[lo],
                                     end=source.dates[hi - 1], forward=fwd, backward=bwd))
     return results, dropped
@@ -297,8 +297,7 @@ def _lag_of(config: TeConfig) -> int | str:
     return config.k if config.k == config.l else f"{config.k}:{config.l}"
 
 
-def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries],
-                 n_jobs: int = 1) -> AnalysisReport:
+def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries]) -> AnalysisReport:
     """Execute one AnalysisSpec over named series and collect every result.
 
     Transforms are applied per series first, then each pair is inner-joined on
@@ -316,18 +315,16 @@ def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries],
         tgt = apply_transform(tgt, spec.transforms.get(tgt_label, "levels"))
         src, tgt = align(src.drop_missing(), tgt.drop_missing())
         if spec.include_base_rows:
-            fwd, bwd = run_pair(src, tgt, spec.te_config, n_jobs=n_jobs)
+            fwd, bwd = run_pair(src, tgt, spec.te_config)
             report.rows.append(fwd)
             if both:
                 report.rows.append(bwd)
         if spec.lag_range != (1, 1):
-            curves = lag_sweep(src, tgt, spec.te_config, spec.lag_range,
-                               mode=spec.lag_mode, n_jobs=n_jobs)
+            curves = lag_sweep(src, tgt, spec.te_config, spec.lag_range, mode=spec.lag_mode)
             for direction, curve in curves.items():
                 report.lag_curves.setdefault(direction, []).extend(curve)
         if spec.window_scheme is not None:
-            windows, dropped = window_analysis(src, tgt, spec.te_config,
-                                               spec.window_scheme, n_jobs=n_jobs)
+            windows, dropped = window_analysis(src, tgt, spec.te_config, spec.window_scheme)
             report.window_results.extend(windows)
             report.meta[f"dropped_observations[{src.label}->{tgt.label}]"] = dropped
     return report

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, NoClosedForm
+from .te import JointCounts, transfer_entropy
 
 _KINDS = ("iid_binary", "copy", "coupled_markov", "gaussian_ar1")
 
@@ -219,14 +220,4 @@ def population_te(spec: ProcessSpec, k: int = 1, l: int = 1, log_base: float = 2
         key = (y_next, y_hist, x_hist)
         joint[key] = joint.get(key, 0.0) + p
 
-    ctx: dict = {}
-    nxt_th: dict = {}
-    th_tot: dict = {}
-    for (ny, th, sh), p in joint.items():
-        ctx[(th, sh)] = ctx.get((th, sh), 0.0) + p
-        nxt_th[(ny, th)] = nxt_th.get((ny, th), 0.0) + p
-        th_tot[th] = th_tot.get(th, 0.0) + p
-    acc = 0.0
-    for (ny, th, sh), p in joint.items():
-        acc += p * math.log((p / ctx[(th, sh)]) / (nxt_th[(ny, th)] / th_tot[th]))
-    return max(acc / math.log(log_base), 0.0)
+    return transfer_entropy(JointCounts(joint, k, l, max(m_x, m_y)), log_base)

@@ -2,18 +2,18 @@
 Markov-bootstrap inference on symbolized series.
 
 All estimators are pure functions of (input, config, seed). Replications draw
-from substreams derived deterministically from (seed, replication index), and
-aggregation is order-insensitive, so results do not depend on how many worker
-threads execute them.
+from substreams derived deterministically from (seed, replication index). The
+observed TE, every shuffle surrogate and every bootstrap null go through one
+batched kernel, :func:`_te_rows`, so ties between them are exact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +36,9 @@ _DOMAIN_DIRECTION = 3
 
 # below this many transition tuples a plain Python loop beats numpy dispatch
 _SMALL_N = 64
+
+# codes per block of source rows in the kernel; bounds its working memory
+_BLOCK_CODES = 1 << 15
 
 Pattern = tuple[int, ...]
 CountKey = tuple[int, Pattern, Pattern]
@@ -132,10 +135,11 @@ class JointCounts:
     Histories are tuples ordered most-recent-first; the tuple at step t pairs
     target[t] with the target history ending at t-1 and the source history
     ending at t-1, so contemporaneous source values never predict the
-    same-step target.
+    same-step target. Values are counts, or the probabilities of an exact
+    population table.
     """
 
-    counts: Mapping[CountKey, int]
+    counts: Mapping[CountKey, float]
     k: int
     l: int
     alphabet_size: int
@@ -145,21 +149,46 @@ class JointCounts:
         return sum(self.counts.values())
 
 
-def _decode_pattern(code: int, m: int, length: int) -> Pattern:
-    out = []
-    for _ in range(length):
-        out.append(code % m)
-        code //= m
-    return tuple(out)
+def _patterns(codes: np.ndarray, m: int, length: int) -> list[Pattern]:
+    """History codes decoded into tuples, most recent symbol first."""
+    return list(map(tuple, (codes[:, None] // m ** np.arange(length) % m).tolist()))
 
 
 def _history_codes(arr: np.ndarray, offset: int, n: int, depth: int, m: int) -> np.ndarray:
-    codes = np.zeros(n - offset, dtype=np.int64)
-    weight = 1
+    """Base-m codes of the ``depth`` symbols before each step, per row of ``arr``."""
+    codes = np.zeros(arr.shape[:-1] + (n - offset,), dtype=np.int64)
     for j in range(1, depth + 1):
-        codes += arr[offset - j: n - j] * weight
-        weight *= m
+        codes += arr[..., offset - j: n - j] * m ** (j - 1)
     return codes
+
+
+def _target_side(target: np.ndarray, k: int, h: int, m: int):
+    """Per step, its target history's rank; per rank, its code, count and counts by next symbol."""
+    th_codes, th_rank, th_tot = np.unique(_history_codes(target, h, target.shape[0], k, m),
+                                          return_inverse=True, return_counts=True)
+    nxt_th = np.bincount(th_rank * m + target[h:], minlength=th_codes.size * m).reshape(-1, m)
+    return th_rank, th_codes, th_tot, nxt_th
+
+
+def _block_cells(target: np.ndarray, th_rank: np.ndarray, block: np.ndarray,
+                 h: int, l: int, m: int):
+    """Observed cells of each source row in ``block``: (row, next symbol, target
+    history rank, source history code, count, context count), each row's cells
+    in ascending joint-code order (next symbol most significant, then the
+    histories, each with its most recent symbol least significant)."""
+    # context-major key, so that the cells of one context sit side by side
+    key = (th_rank * m ** l + _history_codes(block, h, target.shape[0], l, m)) * m + target[h:]
+    key.sort(axis=1)
+    new = np.ones(key.shape, dtype=bool)
+    new[:, 1:] = key[:, 1:] != key[:, :-1]
+    row, col = np.nonzero(new)
+    count = np.diff(row * key.shape[1] + col, append=key.size)
+    ctx, nxt = np.divmod(key[row, col], m)
+    first = np.flatnonzero((col == 0) | (ctx != np.roll(ctx, 1)))
+    ctx_count = np.repeat(np.add.reduceat(count, first), np.diff(first, append=ctx.size))
+    order = np.argsort(row * m + nxt, kind="stable")
+    th, sh = np.divmod(ctx[order], m ** l)
+    return row[order], nxt[order], th, sh, count[order], ctx_count[order]
 
 
 def _transition_counts(target: np.ndarray, source: np.ndarray,
@@ -185,27 +214,38 @@ def _transition_counts(target: np.ndarray, source: np.ndarray,
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    mk = m ** k
-    ml = m ** l
-    th = _history_codes(target, h, n, k, m)
-    sh = _history_codes(source, h, n, l, m)
-    codes = (target[h:] * mk + th) * ml + sh
-    space = mk * ml * m
-    if space <= (1 << 20):
-        flat = np.bincount(codes, minlength=space)
-        nz = np.flatnonzero(flat)
-        cnt = flat[nz]
-        uniq = nz
-    else:
-        uniq, cnt = np.unique(codes, return_counts=True)
-    counts = {}
-    for code, c in zip(uniq.tolist(), cnt.tolist()):
-        sh_code = code % ml
-        rest = code // ml
-        th_code = rest % mk
-        nxt = rest // mk
-        counts[(nxt, _decode_pattern(th_code, m, k), _decode_pattern(sh_code, m, l))] = c
-    return counts
+    th_rank, th_codes, _, _ = _target_side(target, k, h, m)
+    _, nxt, th, sh, count, _ = _block_cells(target, th_rank, source[None], h, l, m)
+    keys = zip(nxt.tolist(), _patterns(th_codes[th], m, k), _patterns(sh, m, l))
+    return dict(zip(keys, count.tolist()))
+
+
+def _te_rows(target: np.ndarray, sources: Iterable[np.ndarray],
+             k: int, l: int, m: int, log_base: float) -> np.ndarray:
+    """Plug-in TE of ``target`` against each source row, in order.
+
+    Bit for bit what :func:`transfer_entropy` gives on the row's cells taken
+    in ascending joint-code order: ratios from exact integer products, logs
+    from ``math.log`` and each row summed left to right. Rows are drawn from
+    ``sources`` one block at a time, so a lazy iterable is never held whole.
+    """
+    h = max(k, l)
+    span = target.shape[0] - h
+    th_rank, _, th_tot, nxt_th = _target_side(target, k, h, m)
+    sources = iter(sources)
+    out = []
+    while rows := list(islice(sources, max(1, _BLOCK_CODES // span))):
+        block = np.stack(rows, dtype=np.int64)  # Markov null sources arrive as int16
+        row, nxt, th, _, count, ctx_count = _block_cells(target, th_rank, block, h, l, m)
+        ratio = (count * th_tot[th]) / (ctx_count * nxt_th[th, nxt])
+        terms = count * np.fromiter(map(math.log, ratio.tolist()), float, ratio.size)
+        # accumulate, unlike sum, adds strictly left to right
+        for row_terms in np.split(terms, np.flatnonzero(np.diff(row)) + 1):
+            out.append(np.add.accumulate(row_terms)[-1])
+    te = np.array(out) / (span * math.log(log_base))
+    if (te < -NEGATIVE_CLAMP).any():
+        raise InternalConsistencyError(f"plug-in TE below -{NEGATIVE_CLAMP}: {te.min()}")
+    return np.maximum(te, 0.0)
 
 
 def _check_pair(target: SymbolSeries, source: SymbolSeries, k: int, l: int) -> int:
@@ -270,57 +310,40 @@ def transfer_entropy(counts: JointCounts, log_base: float = 2.0) -> float:
     return te
 
 
-def _map_indexed(fn: Callable[[int], float], n: int, n_jobs: int) -> list:
-    if n_jobs <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=n_jobs) as ex:
-        return list(ex.map(fn, range(n)))
-
-
 def shuffle_surrogate_te(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
-                         permutations: Sequence[np.ndarray] | None = None,
-                         n_jobs: int = 1) -> np.ndarray:
+                         permutations: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """TE values after independent uniform permutations of the source symbols.
 
     The target is never touched. Each replication's permutation comes from its
-    own substream of config.seed, so the returned vector is independent of
-    execution order and parallel width. ``permutations`` overrides the drawn
+    own substream of config.seed, so the returned vector does not depend on
+    how the replications are batched. ``permutations`` overrides the drawn
     permutations (test hook, e.g. a forced identity permutation).
     """
     m = _check_pair(target, source, config.k, config.l)
-    t = np.asarray(target.symbols)
-    s = np.asarray(source.symbols)
-    n = s.shape[0]
+    s = source.symbols
     if permutations is None:
-        perms = [substream(config.seed, _DOMAIN_SHUFFLE, i).permutation(n)
-                 for i in range(config.n_shuffles)]
-    else:
-        perms = [np.asarray(p) for p in permutations]
-        if not perms:
-            raise ConfigError("need at least one permutation")
-
-    def one(i: int) -> float:
-        counts = _transition_counts(t, s[perms[i]], config.k, config.l, m)
-        return transfer_entropy(JointCounts(counts, config.k, config.l, m), config.log_base)
-
-    return np.array(_map_indexed(one, len(perms), n_jobs))
+        permutations = (substream(config.seed, _DOMAIN_SHUFFLE, i).permutation(len(s))
+                        for i in range(config.n_shuffles))
+    elif len(permutations) == 0:
+        raise ConfigError("need at least one permutation")
+    return _te_rows(target.symbols, (s[p] for p in permutations),
+                    config.k, config.l, m, config.log_base)
 
 
 def effective_transfer_entropy(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
-                               direction: str = "source->target",
-                               n_jobs: int = 1) -> TeEstimate:
+                               direction: str = "source->target") -> TeEstimate:
     """Shuffle-corrected transfer entropy: raw TE minus the mean surrogate TE.
 
     Inference fields (std_err, p_value) are left absent; see
     :func:`bootstrap_inference` or :func:`estimate`.
     """
-    counts = count_transitions(target, source, config.k, config.l)
-    te = transfer_entropy(counts, config.log_base)
-    surrogates = shuffle_surrogate_te(target, source, config, n_jobs=n_jobs)
-    surrogate_mean = float(surrogates.mean())
+    m = _check_pair(target, source, config.k, config.l)
+    te = float(_te_rows(target.symbols, [source.symbols], config.k, config.l, m,
+                        config.log_base)[0])
+    surrogate_mean = float(shuffle_surrogate_te(target, source, config).mean())
     return TeEstimate(direction=direction, te=te, ete=te - surrogate_mean,
                       surrogate_mean=surrogate_mean, std_err=None, p_value=None,
-                      n_effective=counts.n_effective, config=config)
+                      n_effective=len(target) - max(config.k, config.l), config=config)
 
 
 def _markov_null_sources(source: np.ndarray, m: int, order: int,
@@ -346,14 +369,15 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
     cum[visited] = np.cumsum(table[visited] / row_tot[visited, None], axis=1)
     cum[visited, -1] = 1.0  # exact upper bound regardless of rounding
 
-    out = np.empty((n_reps, n), dtype=np.int64)
+    # m <= 4096 by the check above, so int16 holds every symbol at a quarter of the memory
+    out = np.empty((n_reps, n), dtype=np.int16)
     states = np.empty(n_reps, dtype=np.int64)
     uniforms = np.empty((n_reps, n - order))
     for i in range(n_reps):
         rng = substream(seed, _DOMAIN_BOOTSTRAP, i)
-        init = int(ctx[int(rng.integers(ctx.shape[0]))])
-        states[i] = init
-        out[i, :order] = _decode_pattern(init, m, order)[::-1]
+        start = int(rng.integers(ctx.shape[0]))
+        states[i] = ctx[start]
+        out[i, :order] = source[start: start + order]
         uniforms[i] = rng.random(n - order)
 
     carry = m ** (order - 1)
@@ -370,8 +394,7 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
 
 
 def bootstrap_inference(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
-                        observed_te: float | None = None,
-                        n_jobs: int = 1) -> tuple[float | None, float | None]:
+                        observed_te: float | None = None) -> tuple[float | None, float | None]:
     """Markov block-bootstrap null distribution for the observed TE.
 
     The source is regenerated ``n_bootstrap`` times at Markov order
@@ -382,30 +405,20 @@ def bootstrap_inference(target: SymbolSeries, source: SymbolSeries, config: TeCo
     if config.n_bootstrap == 0:
         return None, None
     m = _check_pair(target, source, config.k, config.l)
-    t = np.asarray(target.symbols)
-    s = np.asarray(source.symbols)
+    t, s = target.symbols, source.symbols
     if observed_te is None:
-        observed_te = transfer_entropy(count_transitions(target, source, config.k, config.l),
-                                       config.log_base)
+        observed_te = float(_te_rows(t, [s], config.k, config.l, m, config.log_base)[0])
     nulls_src = _markov_null_sources(s, m, config.effective_block_order,
                                      config.n_bootstrap, config.seed)
-
-    def one(i: int) -> float:
-        counts = _transition_counts(t, nulls_src[i], config.k, config.l, m)
-        return transfer_entropy(JointCounts(counts, config.k, config.l, m), config.log_base)
-
-    null_tes = np.array(_map_indexed(one, config.n_bootstrap, n_jobs))
+    null_tes = _te_rows(t, nulls_src, config.k, config.l, m, config.log_base)
     std_err = float(null_tes.std(ddof=1)) if config.n_bootstrap > 1 else 0.0
     p_value = float(np.count_nonzero(null_tes >= observed_te) / config.n_bootstrap)
     return std_err, p_value
 
 
 def estimate(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
-             direction: str = "source->target", n_jobs: int = 1) -> TeEstimate:
+             direction: str = "source->target") -> TeEstimate:
     """Full directional estimate: TE, ETE, and bootstrap inference in one record."""
-    est = effective_transfer_entropy(target, source, config, direction=direction, n_jobs=n_jobs)
-    if config.n_bootstrap > 0:
-        std_err, p_value = bootstrap_inference(target, source, config,
-                                               observed_te=est.te, n_jobs=n_jobs)
-        est = replace(est, std_err=std_err, p_value=p_value)
-    return est
+    est = effective_transfer_entropy(target, source, config, direction=direction)
+    std_err, p_value = bootstrap_inference(target, source, config, observed_te=est.te)
+    return replace(est, std_err=std_err, p_value=p_value)

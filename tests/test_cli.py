@@ -253,6 +253,20 @@ class TestExitCodes:
         assert run(["te", "--source", tmp_path / "nope.csv",
                     "--target", tmp_path / "also_nope.csv", "--out", tmp_path]) == 2
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert run(["returns", "--config", tmp_path / "missing.txt", "--ohlc",
+                    FIXTURES / "ohlc.csv", "--out", tmp_path, "--json-errors"]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["exit_code"] == 2
+        assert "missing.txt" in payload["message"]
+
+    def test_uncreatable_out_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        assert run(["returns", "--ohlc", FIXTURES / "ohlc.csv", "--out", blocker / "sub"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "blocker" in err
+
 
 class TestSynthgenCommand:
     def test_writes_pair_with_consecutive_dates(self, tmp_path):
