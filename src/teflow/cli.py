@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 input/validation error, 3 statistical-procedure failure
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -15,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, TeflowError, ValueOutOfRange
+from .errors import ConfigError, InvalidSpec, ParseError, TeflowError, UsageError, ValueOutOfRange
 from .market import garman_klass_volatility, load_ohlc_csv, log_returns, parkinson_volatility
 from .pipeline import AnalysisReport, AnalysisSpec, WindowScheme, run_analysis
-from .series import DatedSeries, format_value, load_series_csv
+from .series import DatedSeries, format_value, load_series_csv, read_text, write_csv
 from .te import TeConfig
 from .trends import PRESET_NAMES, build_composite, first_difference, load_keyword_file, load_trend_csv, preset
 from .synth import ProcessSpec, generate
@@ -69,26 +68,21 @@ def _te_config(args) -> TeConfig:
                     block_order=args.block_order, seed=args.seed)
 
 
-def _write_run_config(args, command: str) -> None:
+def _write_run_config(args) -> None:
     """Audit trail: the fully resolved configuration next to the outputs."""
-    skip = {"func", "json_errors", "config"}
-    lines = [f"command = {command}"]
-    for key in sorted(vars(args)):
-        if key in skip or key == "command":
-            continue
+    lines = [f"command = {args.command}"]
+    for key in sorted(vars(args).keys() - {"func", "json_errors", "config", "command"}):
         value = getattr(args, key)
         if isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
-    out = Path(args.out) if hasattr(args, "out") else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{command}_config.txt").write_text("\n".join(lines) + "\n")
+    (args.out / f"{args.command}_config.txt").write_text("\n".join(lines) + "\n")
 
 
 def read_config_file(path: Path) -> dict[str, str]:
     """Plain key=value configuration; # starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
-    for i, raw in enumerate(path.read_text().splitlines(), start=1):
+    for i, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -125,103 +119,76 @@ def _inject_config(argv: list[str]) -> list[str]:
 # subcommands
 
 
-def cmd_ingest(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    wrote = 0
-    if args.ohlc:
-        series = load_ohlc_csv(args.ohlc)
-        dest = out / (Path(args.ohlc).stem + ".csv")
-        series.to_csv(dest)
-        print(f"ohlc: {len(series)} bars -> {dest}")
-        wrote += 1
-    trend_files: list[Path] = []
-    if args.trends_dir:
-        trend_files.extend(sorted(Path(args.trends_dir).glob("*.csv")))
-    trend_files.extend(Path(f) for f in args.trend)
-    for f in trend_files:
-        series = load_trend_csv(f, keyword=f.stem, tolerant=True)
-        dest = out / (f.stem + ".csv")
+def cmd_ingest(args) -> None:
+    trend_files = sorted(args.trends_dir.glob("*.csv")) if args.trends_dir else []
+    trend_files += args.trend
+    # validate every input before writing anything
+    ohlc = load_ohlc_csv(args.ohlc) if args.ohlc else None
+    trends = [(f, load_trend_csv(f, keyword=f.stem, tolerant=True)) for f in trend_files]
+    if ohlc is None and not trends:
+        raise ParseError("nothing to ingest; pass --ohlc and/or --trends-dir/--trend")
+    if ohlc is not None:
+        dest = args.out / (args.ohlc.stem + ".csv")
+        ohlc.to_csv(dest)
+        print(f"ohlc: {len(ohlc)} bars -> {dest}")
+    for f, series in trends:
+        dest = args.out / (f.stem + ".csv")
         series.to_csv(dest)
         print(f"trend {f.stem!r}: {len(series)} rows -> {dest}")
-        wrote += 1
-    if not wrote:
-        raise ParseError("nothing to ingest; pass --ohlc and/or --trends-dir/--trend")
-    _write_run_config(args, "ingest")
-    return 0
 
 
-def cmd_index(args) -> int:
+def cmd_index(args) -> None:
     if args.set:
         kw_set = preset(args.set)
     elif args.keywords:
         kw_set = load_keyword_file(args.keywords)
     else:
         raise ValueOutOfRange(f"pass --set (one of {', '.join(PRESET_NAMES)}) or --keywords FILE")
-    input_dir = Path(args.input_dir)
     series_by_keyword = {}
     for kw in kw_set.keywords:
-        candidates = [input_dir / f"{kw}.csv", input_dir / f"{kw.casefold()}.csv"]
+        candidates = [args.input_dir / f"{kw}.csv", args.input_dir / f"{kw.casefold()}.csv"]
         found = next((c for c in candidates if c.exists()), None)
         if found is None:
             log.warning("no file for keyword %r; composite coverage reduced", kw)
             continue
         series_by_keyword[kw] = load_trend_csv(found, keyword=kw, tolerant=True)
     composite = build_composite(series_by_keyword, kw_set)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    levels_path = out / f"{kw_set.name}.csv"
+    diff = first_difference(composite.levels) if args.diff else None
+    levels_path = args.out / f"{kw_set.name}.csv"
     composite.levels.to_csv(levels_path)
-    with open(out / f"{kw_set.name}_coverage.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "coverage"])
-        for d, c in zip(composite.levels.dates, composite.coverage):
-            w.writerow([d.isoformat(), c])
+    write_csv(args.out / f"{kw_set.name}_coverage.csv", ["date", "coverage"],
+              ([d.isoformat(), c] for d, c in zip(composite.levels.dates, composite.coverage)))
     print(f"index {kw_set.name!r}: {len(composite.levels)} days, "
           f"{len(series_by_keyword)}/{len(kw_set)} keywords -> {levels_path}")
-    if args.diff:
-        diff_path = out / f"{kw_set.name}_diff.csv"
-        first_difference(composite.levels).to_csv(diff_path)
+    if diff is not None:
+        diff_path = args.out / f"{kw_set.name}_diff.csv"
+        diff.to_csv(diff_path)
         print(f"first differences -> {diff_path}")
-    _write_run_config(args, "index")
-    return 0
 
 
-def cmd_returns(args) -> int:
+def cmd_returns(args) -> None:
     series = load_ohlc_csv(args.ohlc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dest = out / "returns.csv"
+    dest = args.out / "returns.csv"
     log_returns(series).to_csv(dest)
     print(f"log returns: {len(series) - 1} rows -> {dest}")
-    _write_run_config(args, "returns")
-    return 0
 
 
-def cmd_vol(args) -> int:
+def cmd_vol(args) -> None:
     series = load_ohlc_csv(args.ohlc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.method == "parkinson":
         vol = parkinson_volatility(series)
-        dest = out / "vol_parkinson.csv"
+        dest = args.out / "vol_parkinson.csv"
     else:
         vol = garman_klass_volatility(series).drop_missing()
-        dest = out / "vol_gk.csv"
+        dest = args.out / "vol_gk.csv"
     vol.to_csv(dest)
     print(f"{args.method} volatility: {len(vol)} rows -> {dest}")
-    _write_run_config(args, "vol")
-    return 0
 
 
 def _load_te_inputs(args) -> tuple[DatedSeries, list[DatedSeries]]:
     source = load_series_csv(args.source, label=args.source_label)
-    targets = []
-    labels = list(args.target_label)
-    for i, path in enumerate(args.target):
-        label = labels[i] if i < len(labels) else None
-        targets.append(load_series_csv(path, label=label))
-    return source, targets
+    labels = args.target_label + [None] * len(args.target)
+    return source, [load_series_csv(path, label=label) for path, label in zip(args.target, labels)]
 
 
 def _analysis_spec(args, source: DatedSeries, targets: list[DatedSeries], *,
@@ -231,6 +198,9 @@ def _analysis_spec(args, source: DatedSeries, targets: list[DatedSeries], *,
     pairs = []
     transforms = {source.label: args.source_transform}
     for t in targets:
+        if t.label in series:
+            raise ConfigError(f"two input series are labelled {t.label!r}; "
+                              "give each target a distinct --target-label")
         series[t.label] = t
         pairs.append((source.label, t.label, True))
         transforms[t.label] = args.target_transform
@@ -242,7 +212,6 @@ def _analysis_spec(args, source: DatedSeries, targets: list[DatedSeries], *,
 
 
 def _emit_report(report: AnalysisReport, out: Path, stem: str) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / f"{stem}_report.csv")
     report.write_json(out / f"{stem}_report.json")
     print(f"report -> {out / (stem + '_report.csv')} and .json")
@@ -250,89 +219,86 @@ def _emit_report(report: AnalysisReport, out: Path, stem: str) -> None:
 
 def _write_plot_csv(path: Path, header: list[str], rows) -> None:
     """One line per (leading fields, estimate): the fields, then ETE, p-value and significance."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header + ["ete", "p_value", "significant"])
-        for fields, est in rows:
-            p = est.p_value
-            w.writerow([*fields, format_value(est.ete), "" if p is None else format_value(p),
-                        "" if p is None else int(p < SIGNIFICANCE)])
+    write_csv(path, header + ["ete", "p_value", "significant"],
+              ([*fields, format_value(est.ete),
+                "" if est.p_value is None else format_value(est.p_value),
+                "" if est.p_value is None else int(est.p_value < SIGNIFICANCE)]
+               for fields, est in rows))
     print(f"plot data -> {path}")
 
 
-def cmd_te(args) -> int:
+def cmd_te(args) -> None:
     source, targets = _load_te_inputs(args)
     spec, series = _analysis_spec(args, source, targets)
     report = run_analysis(spec, series)
-    _emit_report(report, Path(args.out), "te")
+    _emit_report(report, args.out, "te")
     for est in report.rows:
         p = "n/a" if est.p_value is None else format_value(est.p_value)
         print(f"  {est.direction}: TE={est.te:.4f} ETE={est.ete:.4f} p={p}")
-    _write_run_config(args, "te")
-    return 0
 
 
-def cmd_lagsweep(args) -> int:
+def cmd_lagsweep(args) -> None:
     source, targets = _load_te_inputs(args)
     spec, series = _analysis_spec(args, source, targets,
                                   lag_range=(args.min_lag, args.max_lag),
                                   include_base_rows=False, lag_mode=args.mode)
     report = run_analysis(spec, series)
-    out = Path(args.out)
-    _emit_report(report, out, "lagsweep")
+    _emit_report(report, args.out, "lagsweep")
     if args.plot_data:
-        _write_plot_csv(out / "lagsweep_plot.csv", ["direction", "lag"],
+        _write_plot_csv(args.out / "lagsweep_plot.csv", ["direction", "lag"],
                         (([direction, lag], est) for direction, curve in report.lag_curves.items()
                          for lag, est in curve))
-    _write_run_config(args, "lagsweep")
-    return 0
 
 
-def cmd_windows(args) -> int:
+def cmd_windows(args) -> None:
     scheme = WindowScheme(count=args.count, size=args.size)
     source, targets = _load_te_inputs(args)
     spec, series = _analysis_spec(args, source, targets, window_scheme=scheme,
                                   include_base_rows=False)
     report = run_analysis(spec, series)
-    out = Path(args.out)
-    _emit_report(report, out, "windows")
+    _emit_report(report, args.out, "windows")
     if args.plot_data:
-        _write_plot_csv(out / "windows_plot.csv",
+        _write_plot_csv(args.out / "windows_plot.csv",
                         ["direction", "window_index", "window_start", "window_end"],
                         (([est.direction, wr.index, wr.start.isoformat(), wr.end.isoformat()], est)
                          for wr in report.window_results for est in (wr.forward, wr.backward)))
-    _write_run_config(args, "windows")
-    return 0
 
 
-def cmd_synthgen(args) -> int:
+def cmd_synthgen(args) -> None:
     tables = {}
     if args.tables:
-        raw = json.loads(Path(args.tables).read_text())
-        tables["source_transitions"] = tuple(tuple(r) for r in raw["source"])
-        tables["target_transitions"] = tuple(tuple(tuple(rr) for rr in r) for r in raw["target"])
+        text = read_text(args.tables)
+        try:
+            raw = json.loads(text)
+            tables = {"source_transitions": raw["source"], "target_transitions": raw["target"]}
+        except (ValueError, KeyError, TypeError) as err:
+            raise InvalidSpec(f"{args.tables}: expected a JSON object with \"source\" and "
+                              f"\"target\" transition tables ({type(err).__name__}: {err})") from None
     spec = ProcessSpec(kind=args.kind, length=args.length, seed=args.seed,
                        delay=args.delay, noise=args.noise, phi=args.phi, **tables)
     src, tgt = generate(spec)
     start = date(2015, 1, 1)
     dates = tuple(start + timedelta(days=i) for i in range(args.length))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     DatedSeries(dates=dates, values=np.asarray(src, dtype=float),
-                label="synth_source").to_csv(out / "synth_source.csv")
+                label="synth_source").to_csv(args.out / "synth_source.csv")
     DatedSeries(dates=dates, values=np.asarray(tgt, dtype=float),
-                label="synth_target").to_csv(out / "synth_target.csv")
-    print(f"{args.kind} pair of length {args.length} -> {out / 'synth_source.csv'}, "
-          f"{out / 'synth_target.csv'}")
-    _write_run_config(args, "synthgen")
-    return 0
+                label="synth_target").to_csv(args.out / "synth_target.csv")
+    print(f"{args.kind} pair of length {args.length} -> {args.out / 'synth_source.csv'}, "
+          f"{args.out / 'synth_target.csv'}")
 
 
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as UsageError, so main() reports them like any other input error."""
+
+    def error(self, message):
+        raise UsageError(f"{message} (see '{self.prog} --help')")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="teflow",
         description="Directional information flow between time series: transfer entropy, "
                     "effective transfer entropy, and the market/attention data pipeline.")
@@ -419,7 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(_inject_config(argv))
         json_errors = args.json_errors
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-        return args.func(args)
+        args.func(args)
+        _write_run_config(args)
+        return 0
     except (TeflowError, OSError) as err:
         # an unreadable --config or an uncreatable --out is bad input, not a crash
         exit_code = err.exit_code if isinstance(err, TeflowError) else 2
@@ -429,6 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {err}", file=sys.stderr)
         return exit_code
+
 
 if __name__ == "__main__":
     raise SystemExit(main())

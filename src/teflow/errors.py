@@ -72,6 +72,10 @@ class ConfigError(TeflowError):
     """An estimator configuration is malformed."""
 
 
+class UsageError(TeflowError):
+    """The command line does not parse: an unknown flag, a bad value or a missing argument."""
+
+
 class InsufficientData(TeflowError):
     """A resampling procedure hit a source Markov state that was never visited."""
 

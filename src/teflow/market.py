@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, NonPositivePrice, ParseError, SeriesTooShort
-from .series import DatedSeries, format_value
+from .series import DatedSeries, format_value, read_dated_csv, write_csv
 
 _LN2 = math.log(2.0)
 _PARKINSON_SCALE = 1.0 / (4.0 * _LN2)
@@ -62,49 +61,25 @@ class OhlcSeries:
         return np.array([getattr(b, name) for b in self.bars], dtype=float)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(OHLC_HEADER)
-            for b in self.bars:
-                w.writerow([b.day.isoformat()] + [format_value(v)
-                                                  for v in (b.open, b.high, b.low, b.close)])
+        write_csv(path, OHLC_HEADER,
+                  ([b.day.isoformat()] + [format_value(v) for v in (b.open, b.high, b.low, b.close)]
+                   for b in self.bars))
+
+
+def _parse_bar(day: date, fields: list[str], path: Path, line: int) -> OhlcBar:
+    try:
+        o, h, lo, c = (float(x) for x in fields)
+    except ValueError:
+        raise ParseError("bad price field", path=path, line=line) from None
+    if not all(math.isfinite(v) for v in (o, h, lo, c)):
+        raise ParseError("non-finite price", path=path, line=line)
+    return OhlcBar(day=day, open=o, high=h, low=lo, close=c)
 
 
 def load_ohlc_csv(path) -> OhlcSeries:
     """Parse, sort and validate a `date,open,high,low,close` CSV."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError("file not found", path=path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError("missing header row", path=path, line=1)
-    header = [c.strip().lower() for c in rows[0]]
-    if header != OHLC_HEADER:
-        raise ParseError(f"expected header {','.join(OHLC_HEADER)!r}", path=path, line=1)
-    bars: list[OhlcBar] = []
-    seen: set[date] = set()
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise ParseError(f"expected 5 columns, got {len(row)}", path=path, line=i)
-        try:
-            day = date.fromisoformat(row[0].strip())
-        except ValueError:
-            raise ParseError(f"bad date {row[0]!r}", path=path, line=i) from None
-        try:
-            o, h, lo, c = (float(x) for x in row[1:])
-        except ValueError:
-            raise ParseError("bad price field", path=path, line=i) from None
-        if not all(math.isfinite(v) for v in (o, h, lo, c)):
-            raise ParseError("non-finite price", path=path, line=i)
-        if day in seen:
-            raise ParseError(f"duplicate date {day.isoformat()}", path=path, line=i)
-        seen.add(day)
-        bars.append(OhlcBar(day=day, open=o, high=h, low=lo, close=c))
-    bars.sort(key=lambda b: b.day)
-    return OhlcSeries(bars=tuple(bars))
+    rows = read_dated_csv(path, _parse_bar, len(OHLC_HEADER), header=OHLC_HEADER)
+    return OhlcSeries(bars=tuple(bar for _, bar in rows))
 
 
 def log_returns(series: OhlcSeries) -> DatedSeries:

@@ -3,7 +3,6 @@ and non-overlapping window analyses, assembled into serializable reports."""
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import warnings
@@ -12,7 +11,7 @@ from datetime import date
 from typing import Mapping
 
 from .errors import ConfigError, InvariantViolation, LagTooLargeForSample, SeriesTooShort, WindowTooSmall
-from .series import DatedSeries, align, format_value
+from .series import DatedSeries, align, format_value, write_csv
 from .symbolic import symbolize
 from .te import _DOMAIN_DIRECTION, TeConfig, TeEstimate, derive_seed, estimate
 from .trends import first_difference
@@ -223,22 +222,18 @@ class AnalysisReport:
             yield wr.backward, _lag_of(wr.backward.config), wr.start, wr.end
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(REPORT_COLUMNS)
-            for est, lag, start, end in self._flat():
-                w.writerow([
-                    est.direction,
-                    lag,
-                    start.isoformat() if start else "",
-                    end.isoformat() if end else "",
-                    format_value(est.te),
-                    format_value(est.ete),
-                    format_value(est.std_err) if est.std_err is not None else "",
-                    format_value(est.p_value) if est.p_value is not None else "",
-                    est.n_effective,
-                    est.config.digest(),
-                ])
+        write_csv(path, REPORT_COLUMNS, ([
+            est.direction,
+            lag,
+            start.isoformat() if start else "",
+            end.isoformat() if end else "",
+            format_value(est.te),
+            format_value(est.ete),
+            format_value(est.std_err) if est.std_err is not None else "",
+            format_value(est.p_value) if est.p_value is not None else "",
+            est.n_effective,
+            est.config.digest(),
+        ] for est, lag, start, end in self._flat()))
 
     def to_dict(self) -> dict:
         def enc(est: TeEstimate, lag, start=None, end=None) -> dict:

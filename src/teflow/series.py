@@ -60,11 +60,8 @@ class DatedSeries:
         return replace(self, dates=dates, values=self.values[keep], allow_missing=False)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["date", "value"])
-            for d, v in zip(self.dates, self.values):
-                w.writerow([d.isoformat(), format_value(v)])
+        write_csv(path, ["date", "value"],
+                  ([d.isoformat(), format_value(v)] for d, v in zip(self.dates, self.values)))
 
     @classmethod
     def from_pairs(cls, pairs, label: str = "", units: str = "", allow_missing: bool = False) -> "DatedSeries":
@@ -74,6 +71,84 @@ class DatedSeries:
         return cls(dates=dates, values=values, label=label, units=units, allow_missing=allow_missing)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of an input file; a missing or undecodable file is a ParseError."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ParseError("file not found", path=path) from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"not UTF-8 text (byte {err.start})", path=path, line=line) from None
+
+
+def read_dated_csv(path, parse, columns: int, header=None,
+                   skip_preamble: bool = False) -> list[tuple[date, object]]:
+    """Rows of a CSV whose first column is an ISO date, as sorted ``(date, parsed)`` pairs.
+
+    The first row is a header; it must equal ``header`` (case and spacing
+    aside) when one is given. ``skip_preamble`` skips a leading export
+    preamble (a line without a comma, then blank lines) when one is detected.
+    Blank rows are skipped; every other row has ``columns`` fields. ``parsed``
+    is ``parse(day, fields[1:], path, line)``; duplicate dates are rejected
+    after it.
+    """
+    path = Path(path)
+    lines = read_text(path).splitlines()
+    offset = 0
+    if skip_preamble and lines and lines[0].strip() and "," not in lines[0]:
+        offset = 1
+        while offset < len(lines) and not lines[offset].strip():
+            offset += 1
+    reader = csv.reader(lines[offset:])
+    try:
+        rows = list(reader)
+    except csv.Error as err:
+        raise ParseError(f"malformed CSV: {err}", path=path, line=offset + reader.line_num) from None
+    if not rows:
+        raise ParseError("missing header row", path=path, line=offset + 1)
+    if header is not None and [c.strip().lower() for c in rows[0]] != list(header):
+        raise ParseError(f"expected header {','.join(header)!r}", path=path, line=offset + 1)
+    parsed: dict[date, object] = {}
+    for i, row in enumerate(rows[1:], start=offset + 2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != columns:
+            raise ParseError(f"expected {columns} columns, got {len(row)}", path=path, line=i)
+        try:
+            day = date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise ParseError(f"bad date {row[0]!r}", path=path, line=i) from None
+        value = parse(day, row[1:], path, i)
+        if day in parsed:
+            raise ParseError(f"duplicate date {day.isoformat()}", path=path, line=i)
+        parsed[day] = value
+    return sorted(parsed.items())  # dates are unique, so values are never compared
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows`` as UTF-8 CSV, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _parse_value(day: date, fields: list[str], path: Path, line: int) -> float:
+    try:
+        v = float(fields[0])
+    except ValueError:
+        raise ParseError(f"bad value {fields[0]!r}", path=path, line=line) from None
+    if not math.isfinite(v):
+        raise NonFiniteValue(f"{path}:{line}: non-finite value")
+    return v
+
+
 def load_series_csv(path, label: str | None = None, skip_preamble: bool = False) -> DatedSeries:
     """Read a two-column ``date,value`` CSV with one header row.
 
@@ -81,40 +156,7 @@ def load_series_csv(path, label: str | None = None, skip_preamble: bool = False)
     followed by a blank line) when one is detected.
     """
     path = Path(path)
-    if not path.exists():
-        raise ParseError("file not found", path=path)
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    offset = 0
-    if skip_preamble and lines and lines[0].strip() and "," not in lines[0]:
-        offset = 1
-        while offset < len(lines) and not lines[offset].strip():
-            offset += 1
-    rows = list(csv.reader(lines[offset:]))
-    if not rows:
-        raise ParseError("missing header row", path=path, line=offset + 1)
-    pairs: list[tuple[date, float]] = []
-    seen: set[date] = set()
-    for i, row in enumerate(rows[1:], start=offset + 2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected 2 columns, got {len(row)}", path=path, line=i)
-        try:
-            d = date.fromisoformat(row[0].strip())
-        except ValueError:
-            raise ParseError(f"bad date {row[0]!r}", path=path, line=i) from None
-        try:
-            v = float(row[1])
-        except ValueError:
-            raise ParseError(f"bad value {row[1]!r}", path=path, line=i) from None
-        if not math.isfinite(v):
-            raise NonFiniteValue(f"{path}:{i}: non-finite value")
-        if d in seen:
-            raise ParseError(f"duplicate date {d.isoformat()}", path=path, line=i)
-        seen.add(d)
-        pairs.append((d, v))
-    pairs.sort(key=lambda p: p[0])
+    pairs = read_dated_csv(path, _parse_value, 2, skip_preamble=skip_preamble)
     return DatedSeries.from_pairs(pairs, label=label if label is not None else path.stem)
 
 

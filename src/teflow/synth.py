@@ -84,7 +84,7 @@ class ProcessSpec:
     def _source_matrix(self) -> np.ndarray:
         if self.source_transitions is None:
             raise InvalidSpec("coupled_markov requires source_transitions")
-        a = np.asarray(self.source_transitions, dtype=float)
+        a = _numeric_table(self.source_transitions, "source_transitions")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidSpec("source_transitions must be square")
         if (a < 0).any() or not np.allclose(a.sum(axis=1), 1.0, atol=1e-9):
@@ -94,12 +94,19 @@ class ProcessSpec:
     def _target_tensor(self) -> np.ndarray:
         if self.target_transitions is None:
             raise InvalidSpec("coupled_markov requires target_transitions")
-        b = np.asarray(self.target_transitions, dtype=float)
+        b = _numeric_table(self.target_transitions, "target_transitions")
         if b.ndim != 3 or b.shape[0] != b.shape[2]:
             raise InvalidSpec("target_transitions must have shape (m_y, m_x, m_y)")
         if (b < 0).any() or not np.allclose(b.sum(axis=2), 1.0, atol=1e-9):
             raise InvalidSpec("target_transitions rows must sum to 1")
         return b
+
+
+def _numeric_table(table, name: str) -> np.ndarray:
+    try:
+        return np.asarray(table, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"{name} must be a rectangular table of numbers") from None
 
 
 def generate(spec: ProcessSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, NoConstituentData, SeriesTooShort, ValueOutOfRange
-from .series import DatedSeries, load_series_csv
+from .series import DatedSeries, load_series_csv, read_text
 
 PRESET_NAMES = ("full", "subset1", "subset2", "subset3")
 
@@ -51,7 +51,7 @@ def preset(name: str) -> KeywordSet:
 def load_keyword_file(path) -> KeywordSet:
     """User-supplied keyword list, one term per line; blank lines and # comments skipped."""
     path = Path(path)
-    terms = [line.strip() for line in path.read_text().splitlines()
+    terms = [line.strip() for line in read_text(path).splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
     return KeywordSet(name=path.stem, keywords=tuple(terms))
 

@@ -31,6 +31,10 @@ def prepared(tmp_path_factory):
     return root
 
 
+def json_error(capsys):
+    return json.loads(capsys.readouterr().err.strip())
+
+
 def read_report(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -94,6 +98,15 @@ class TestIndex:
         code = run(["index", "--set", "subset7", "--input-dir", tmp_path, "--out", tmp_path])
         assert code == 2
         assert "subset" in capsys.readouterr().err
+
+    def test_non_utf8_keyword_file_exits_2(self, tmp_path, prepared, capsys):
+        kw = tmp_path / "mine.txt"
+        kw.write_bytes(b"Bitcoin\nBTC\n\xe9ther\n")
+        assert run(["index", "--keywords", kw, "--input-dir", prepared / "norm",
+                    "--out", tmp_path, "--json-errors"]) == 2
+        payload = json_error(capsys)
+        assert payload["error"] == "ParseError"
+        assert "mine.txt:3" in payload["message"]
 
     def test_custom_keyword_file(self, tmp_path, prepared):
         kws = tmp_path / "gtu.txt"
@@ -267,6 +280,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "blocker" in err
 
+    def test_usage_error_honours_json_errors(self, capsys):
+        assert run(["te", "--k", "abc", "--json-errors"]) == 2
+        payload = json_error(capsys)
+        assert payload["error"] == "UsageError"
+        assert payload["exit_code"] == 2
+        assert "--k" in payload["message"]
+
+    def test_failed_command_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["ingest", "--out", out]) == 2
+        assert "nothing to ingest" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.txt"
+        config.write_bytes(b"seed = 1\nsource_label = \xff\n")
+        assert run(["returns", "--config", config, "--ohlc", FIXTURES / "ohlc.csv",
+                    "--out", tmp_path, "--json-errors"]) == 2
+        payload = json_error(capsys)
+        assert payload["error"] == "ParseError"
+        assert "run.txt:2" in payload["message"]
+
+    def test_repeated_label_is_rejected(self, tmp_path, capsys):
+        rows = "date,value\n" + "".join(f"2020-01-{d:02d},{d % 3}\n" for d in range(1, 29))
+        for name in ("src.csv", "a/ret.csv", "b/ret.csv"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(rows)
+        common = ["--shuffles", "2", "--boot", "0", "--out", tmp_path / "out", "--json-errors"]
+        assert run(["te", "--source", tmp_path / "src.csv", "--target", tmp_path / "a/ret.csv",
+                    "--target", tmp_path / "b/ret.csv", *common]) == 2
+        payload = json_error(capsys)
+        assert payload["error"] == "ConfigError"
+        assert "'ret'" in payload["message"] and "--target-label" in payload["message"]
+        # a target labelled like the source would be compared with itself
+        assert run(["te", "--source", tmp_path / "src.csv", "--target", tmp_path / "a/ret.csv",
+                    "--target-label", "src", *common]) == 2
+        assert "'src'" in json_error(capsys)["message"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynthgenCommand:
     def test_writes_pair_with_consecutive_dates(self, tmp_path):
@@ -306,6 +358,18 @@ class TestSynthgenCommand:
     def test_invalid_spec_exits_2(self, tmp_path):
         assert run(["synthgen", "--kind", "copy", "--length", "100",
                     "--noise", "0.9", "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"source": [[0.7, 0.3], [0.2, 0.8]], "target": ',  # not JSON
+        '{"source": [[0.7, 0.3], [0.2, 0.8]]}',  # no target tables
+        '{"source": [[0.7, 0.3], [0.2]], "target": [[[1.0]]]}',  # ragged
+    ])
+    def test_bad_tables_exit_2(self, tmp_path, capsys, text):
+        tables = tmp_path / "tables.json"
+        tables.write_text(text)
+        assert run(["synthgen", "--kind", "coupled_markov", "--length", "300",
+                    "--tables", tables, "--out", tmp_path, "--json-errors"]) == 2
+        assert json_error(capsys)["error"] == "InvalidSpec"
 
 
 class TestDeterminism:

@@ -1,12 +1,16 @@
 """DatedSeries invariants and the generic date,value loader."""
 
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from teflow import DatedSeries, load_series_csv
-from teflow.errors import NonFiniteValue, ParseError
+from teflow import DatedSeries, load_ohlc_csv, load_series_csv, load_trend_csv
+from teflow.errors import NonFiniteValue, ParseError, TeflowError
 
 
 def days(n, start=0):
@@ -71,3 +75,47 @@ def test_loader_rejects_duplicates_and_sorts(tmp_path):
 def test_loader_missing_file(tmp_path):
     with pytest.raises(ParseError, match="not found"):
         load_series_csv(tmp_path / "absent.csv")
+
+
+def test_undecodable_bytes_are_a_parse_error(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"date,value\n2020-01-01,1\n2020-01-02,\xe9\n")
+    with pytest.raises(ParseError, match="UTF-8") as exc:
+        load_series_csv(p)
+    assert exc.value.line == 3
+    assert exc.value.path.endswith("latin1.csv")
+
+
+def test_oversized_field_is_a_parse_error(tmp_path):
+    p = tmp_path / "huge.csv"
+    p.write_text("date,value\n2020-01-01," + "1" * 200_000 + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_series_csv(p)
+    assert exc.value.line == 2
+
+
+_FIELD = st.one_of(
+    st.dates().map(date.isoformat),
+    st.floats().map(repr),
+    st.integers(-5, 150).map(str),
+    st.text(max_size=6),
+)
+_ROW = st.lists(_FIELD, max_size=6).map(",".join)
+_HEADER = st.sampled_from(["date,value", "date,open,high,low,close", "Category: All", ""])
+_CSV_TEXT = st.builds(lambda head, rows: "\n".join([head, *rows]), _HEADER, st.lists(_ROW, max_size=8))
+
+
+@given(st.one_of(_CSV_TEXT.map(str.encode), st.text().map(str.encode), st.binary()))
+@example(b"date,value\n2020-01-01,\xff\n")
+@example(b"date,open,high,low,close\n2020-01-01," + b"1" * 131_073 + b",2,0.5,1\n")
+@settings(max_examples=300, deadline=None)
+def test_loaders_raise_only_teflow_errors(data):
+    """Whatever the bytes, each loader returns a series or raises a TeflowError."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.csv"
+        path.write_bytes(data)
+        for load in (load_series_csv, load_ohlc_csv, lambda p: load_trend_csv(p, "kw")):
+            try:
+                load(path)
+            except TeflowError:
+                pass
