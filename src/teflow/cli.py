@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import ConfigError, InvalidSpec, ParseError, TeflowError, UsageError, ValueOutOfRange
 from .market import garman_klass_volatility, load_ohlc_csv, log_returns, parkinson_volatility
-from .pipeline import AnalysisReport, AnalysisSpec, WindowScheme, run_analysis
-from .series import DatedSeries, format_value, load_series_csv, read_text, write_csv
+from .pipeline import LAG_MODES, TRANSFORMS, AnalysisReport, AnalysisSpec, WindowScheme, run_analysis
+from .series import DatedSeries, format_value, load_series_csv, read_lines, read_text, write_csv
 from .te import TeConfig
 from .trends import PRESET_NAMES, build_composite, first_difference, load_keyword_file, load_trend_csv, preset
-from .synth import ProcessSpec, generate
+from .synth import KINDS, ProcessSpec, generate
 
 log = logging.getLogger(__name__)
 
@@ -69,10 +69,12 @@ def _te_config(args) -> TeConfig:
 
 
 def _write_run_config(args) -> None:
-    """Audit trail: the fully resolved configuration next to the outputs."""
+    """Audit trail next to the outputs: a --config file that replays the run, unset flags left out."""
     lines = [f"command = {args.command}"]
     for key in sorted(vars(args).keys() - {"func", "json_errors", "config", "command"}):
         value = getattr(args, key)
+        if value is None or value is False or value == []:
+            continue
         if isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
@@ -80,12 +82,9 @@ def _write_run_config(args) -> None:
 
 
 def read_config_file(path: Path) -> dict[str, str]:
-    """Plain key=value configuration; # starts a comment, blank lines ignored."""
+    """Plain key = value configuration; blank lines and lines starting with # are skipped."""
     values: dict[str, str] = {}
-    for i, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for i, line in read_lines(path):
         if "=" not in line:
             raise ParseError("expected key = value", path=path, line=i)
         key, value = line.split("=", 1)
@@ -93,24 +92,36 @@ def read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into leading flags so explicit flags still win."""
-    if "--config" not in argv:
+def _inject_config(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """Expand --config FILE into the flags it sets that argv does not give itself.
+
+    A ``command`` key must name the subcommand. Repeatable flags take comma lists.
+    """
+    if not argv or argv[0] not in commands:
+        return argv  # argparse reports what is wrong with such a command line
+    find = _Parser(prog=f"teflow {argv[0]}", add_help=False)
+    find.add_argument("--config", type=Path)
+    path = find.parse_known_args(argv[1:])[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = Path(argv[idx + 1])
     values = read_config_file(path)
+    recorded = values.pop("command", argv[0])
+    if recorded != argv[0]:
+        raise ConfigError(f"{path} is a record of the {recorded!r} command, not {argv[0]!r}")
+    given = {arg.split("=", 1)[0] for arg in argv[1:]}
+    if "--target" in given:
+        given.add("--target-label")  # labels pair with targets by position
     injected: list[str] = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                injected.append(flag)
+        if flag in given:
             continue
-        for part in value.split(",") if key in ("target", "target_label") else [value]:
-            injected.extend([flag, part])
+        default = commands[argv[0]].get_default(key)
+        if isinstance(default, bool) and value.lower() in ("true", "false"):
+            injected += [flag] * (value.lower() == "true")
+        else:
+            for part in value.split(",") if isinstance(default, list) else [value]:
+                injected += [flag, part]
     # keep the subcommand first, then config-derived flags, then explicit flags
     return argv[:1] + injected + argv[1:]
 
@@ -192,7 +203,7 @@ def _load_te_inputs(args) -> tuple[DatedSeries, list[DatedSeries]]:
 
 
 def _analysis_spec(args, source: DatedSeries, targets: list[DatedSeries], *,
-                   lag_range=(1, 1), window_scheme=None, include_base_rows=True,
+                   lag_range=None, window_scheme=None, include_base_rows=True,
                    lag_mode="history") -> tuple[AnalysisSpec, dict[str, DatedSeries]]:
     series = {source.label: source}
     pairs = []
@@ -334,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_pair_flags(p):
         p.add_argument("--source", type=Path, required=True, help="source series CSV")
-        p.add_argument("--target", type=Path, action="append", required=True,
+        p.add_argument("--target", type=Path, action="append", default=[], required=True,
                        help="target series CSV (repeatable)")
         p.add_argument("--source-label", default=None)
         p.add_argument("--target-label", action="append", default=[])
-        p.add_argument("--source-transform", choices=("levels", "diff"), default="levels")
-        p.add_argument("--target-transform", choices=("levels", "diff"), default="levels")
+        p.add_argument("--source-transform", choices=TRANSFORMS, default="levels")
+        p.add_argument("--target-transform", choices=TRANSFORMS, default="levels")
         _add_estimator_flags(p)
         _add_io_flags(p)
 
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_pair_flags(p)
     p.add_argument("--min-lag", type=int, default=1)
     p.add_argument("--max-lag", type=int, required=True)
-    p.add_argument("--mode", choices=("history", "shift"), default="history",
+    p.add_argument("--mode", choices=LAG_MODES, default="history",
                    help="history: k=l=lag; shift: shift the source back lag-1 days")
     p.set_defaults(func=cmd_lagsweep)
 
@@ -363,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_windows)
 
     p = sub.add_parser("synthgen", help="generate a synthetic pair with known coupling")
-    p.add_argument("--kind", choices=("iid_binary", "copy", "coupled_markov", "gaussian_ar1"),
-                   required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--delay", type=int, default=1, help="copy delay")
     p.add_argument("--noise", type=float, default=0.0, help="copy flip probability")
@@ -375,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.set_defaults(func=cmd_synthgen)
 
+    parser.commands = sub.choices  # subcommand parsers by name, for _inject_config
     return parser
 
 
@@ -382,7 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     json_errors = "--json-errors" in argv
     try:
-        args = build_parser().parse_args(_inject_config(argv))
+        parser = build_parser()
+        args = parser.parse_args(_inject_config(argv, parser.commands))
         json_errors = args.json_errors
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
         args.func(args)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from typing import Mapping
 
@@ -19,6 +19,7 @@ from .trends import first_difference
 log = logging.getLogger(__name__)
 
 TRANSFORMS = ("levels", "diff")
+LAG_MODES = ("history", "shift")
 
 REPORT_COLUMNS = ["direction", "lag", "window_start", "window_end", "te", "ete",
                   "std_err", "p_value", "n_effective", "config_digest"]
@@ -92,8 +93,8 @@ def lag_sweep(source: DatedSeries, target: DatedSeries, config: TeConfig,
     lo, hi = int(lag_range[0]), int(lag_range[1])
     if lo < 1 or hi < lo:
         raise ConfigError(f"lag range must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
-    if mode not in ("history", "shift"):
-        raise ConfigError(f"unknown lag mode {mode!r}")
+    if mode not in LAG_MODES:
+        raise ConfigError(f"unknown lag mode {mode!r}; one of {LAG_MODES}")
     curves: dict[str, list[tuple[int, TeEstimate]]] = {}
     for lag in range(lo, hi + 1):
         if mode == "history":
@@ -180,12 +181,12 @@ class AnalysisSpec:
 
     ``pairs`` lists (source label, target label, both_directions); labels key
     into the series mapping handed to :func:`run_analysis`. ``transforms``
-    maps a label to "levels" or "diff".
+    maps a label to "levels" or "diff". A ``lag_range`` adds a lag sweep.
     """
 
     pairs: tuple[tuple[str, str, bool], ...]
     te_config: TeConfig
-    lag_range: tuple[int, int] = (1, 1)
+    lag_range: tuple[int, int] | None = None
     window_scheme: WindowScheme | None = None
     transforms: Mapping[str, str] = field(default_factory=dict)
     lag_mode: str = "history"
@@ -194,7 +195,7 @@ class AnalysisSpec:
     def __post_init__(self):
         if not self.pairs:
             raise ConfigError("at least one direction pair is required")
-        if self.lag_range[0] < 1 or self.lag_range[1] < self.lag_range[0]:
+        if self.lag_range is not None and not 1 <= self.lag_range[0] <= self.lag_range[1]:
             raise ConfigError("lag range lower bound must be >= 1 and <= upper bound")
         for label, t in self.transforms.items():
             if t not in TRANSFORMS:
@@ -236,31 +237,11 @@ class AnalysisReport:
         ] for est, lag, start, end in self._flat()))
 
     def to_dict(self) -> dict:
-        def enc(est: TeEstimate, lag, start=None, end=None) -> dict:
-            d = {
-                "direction": est.direction,
-                "lag": lag,
-                "te": est.te,
-                "ete": est.ete,
-                "surrogate_mean": est.surrogate_mean,
-                "std_err": est.std_err,
-                "p_value": est.p_value,
-                "n_effective": est.n_effective,
-                "config": {
-                    "k": est.config.k,
-                    "l": est.config.l,
-                    "quantile_cuts": list(est.config.quantile_cuts),
-                    "log_base": est.config.log_base,
-                    "n_shuffles": est.config.n_shuffles,
-                    "n_bootstrap": est.config.n_bootstrap,
-                    "block_order": est.config.effective_block_order,
-                    "seed": est.config.seed,
-                    "digest": est.config.digest(),
-                },
-            }
-            if start is not None:
-                d["window_start"] = start.isoformat()
-                d["window_end"] = end.isoformat()
+        def enc(est: TeEstimate, lag) -> dict:
+            d = asdict(est)
+            d["lag"] = lag
+            d["config"].update(block_order=est.config.effective_block_order,
+                               digest=est.config.digest())
             return d
 
         return {
@@ -314,7 +295,7 @@ def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries])
             report.rows.append(fwd)
             if both:
                 report.rows.append(bwd)
-        if spec.lag_range != (1, 1):
+        if spec.lag_range is not None:
             curves = lag_sweep(src, tgt, spec.te_config, spec.lag_range, mode=spec.lag_mode)
             for direction, curve in curves.items():
                 report.lag_curves.setdefault(direction, []).extend(curve)

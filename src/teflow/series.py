@@ -85,6 +85,12 @@ def read_text(path) -> str:
         raise ParseError(f"not UTF-8 text (byte {err.start})", path=path, line=line) from None
 
 
+def read_lines(path) -> list[tuple[int, str]]:
+    """``(line number, stripped text)`` of each line that is neither blank nor a ``#`` comment."""
+    return [(i, text) for i, line in enumerate(read_text(path).splitlines(), start=1)
+            if (text := line.strip()) and not text.startswith("#")]
+
+
 def read_dated_csv(path, parse, columns: int, header=None,
                    skip_preamble: bool = False) -> list[tuple[date, object]]:
     """Rows of a CSV whose first column is an ISO date, as sorted ``(date, parsed)`` pairs.

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidSpec, NoClosedForm
 from .te import JointCounts, transfer_entropy
 
-_KINDS = ("iid_binary", "copy", "coupled_markov", "gaussian_ar1")
+KINDS = ("iid_binary", "copy", "coupled_markov", "gaussian_ar1")
 
 # generator substream domains
 _SRC = 10
@@ -62,8 +62,8 @@ class ProcessSpec:
     target_transitions: tuple[tuple[tuple[float, ...], ...], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidSpec(f"unknown kind {self.kind!r}; one of {_KINDS}")
+        if self.kind not in KINDS:
+            raise InvalidSpec(f"unknown kind {self.kind!r}; one of {KINDS}")
         if self.length < 2:
             raise InvalidSpec("length must be >= 2")
         if self.seed < 0:

@@ -239,10 +239,9 @@ def _te_rows(target: np.ndarray, sources: Iterable[np.ndarray],
         row, nxt, th, _, count, ctx_count = _block_cells(target, th_rank, block, h, l, m)
         ratio = (count * th_tot[th]) / (ctx_count * nxt_th[th, nxt])
         terms = count * np.fromiter(map(math.log, ratio.tolist()), float, ratio.size)
-        # accumulate, unlike sum, adds strictly left to right
-        for row_terms in np.split(terms, np.flatnonzero(np.diff(row)) + 1):
-            out.append(np.add.accumulate(row_terms)[-1])
-    te = np.array(out) / (span * math.log(log_base))
+        # bincount, unlike sum, adds each row's terms strictly left to right
+        out.append(np.bincount(row, weights=terms, minlength=len(rows)))
+    te = np.concatenate(out) / (span * math.log(log_base))
     if (te < -NEGATIVE_CLAMP).any():
         raise InternalConsistencyError(f"plug-in TE below -{NEGATIVE_CLAMP}: {te.min()}")
     return np.maximum(te, 0.0)

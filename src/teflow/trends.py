@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, NoConstituentData, SeriesTooShort, ValueOutOfRange
-from .series import DatedSeries, load_series_csv, read_text
+from .series import DatedSeries, load_series_csv, read_lines
 
 PRESET_NAMES = ("full", "subset1", "subset2", "subset3")
 
@@ -51,9 +51,7 @@ def preset(name: str) -> KeywordSet:
 def load_keyword_file(path) -> KeywordSet:
     """User-supplied keyword list, one term per line; blank lines and # comments skipped."""
     path = Path(path)
-    terms = [line.strip() for line in read_text(path).splitlines()
-             if line.strip() and not line.lstrip().startswith("#")]
-    return KeywordSet(name=path.stem, keywords=tuple(terms))
+    return KeywordSet(name=path.stem, keywords=tuple(text for _, text in read_lines(path)))
 
 
 def load_trend_csv(path, keyword: str, tolerant: bool = True) -> DatedSeries:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -190,7 +191,98 @@ class TestTeCommand:
         assert read_config_file(out / "te_config.txt")["seed"] == "123"
 
 
+def replay_commands(prepared):
+    """One command line per subcommand, each without --out."""
+    trends = FIXTURES / "trends"
+    pair = ["--source", prepared / "subset3_diff.csv", "--source-label", "GTC",
+            "--target", prepared / "returns.csv", "--target-label", "Return",
+            "--target", prepared / "vol_parkinson.csv", "--target-label", "Volatility",
+            "--shuffles", "3", "--boot", "5", "--seed", "3"]
+    return {
+        "ingest": ["--ohlc", FIXTURES / "ohlc.csv",
+                   "--trend", trends / "BTC.csv", "--trend", trends / "crypto.csv"],
+        "index": ["--set", "subset3", "--input-dir", prepared / "norm", "--diff"],
+        "returns": ["--ohlc", prepared / "norm" / "ohlc.csv"],
+        "vol": ["--ohlc", prepared / "norm" / "ohlc.csv", "--method", "gk"],
+        "te": pair,
+        "lagsweep": pair + ["--max-lag", "2", "--plot-data"],
+        "windows": pair + ["--count", "2", "--plot-data"],
+        "synthgen": ["--kind", "copy", "--length", "200", "--noise", "0.1", "--seed", "2"],
+    }
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command", ["ingest", "index", "returns", "vol", "te",
+                                         "lagsweep", "windows", "synthgen"])
+    def test_record_replays_the_run(self, tmp_path, prepared, command):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lag 2 on the short fixture warns by design
+            assert run([command, *replay_commands(prepared)[command], "--out", first]) == 0
+            record = first / f"{command}_config.txt"
+            assert run([command, "--config", record, "--out", replay]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in replay.iterdir())
+        for name in names:
+            want = (first / name).read_bytes()
+            if name == record.name:  # the records differ in their out line only
+                want = want.replace(f"out = {first}".encode(), f"out = {replay}".encode())
+            assert (replay / name).read_bytes() == want, name
+
+    def test_unset_flags_are_left_out(self, tmp_path, prepared):
+        assert run(["te", *replay_commands(prepared)["te"], "--out", tmp_path]) == 0
+        record = read_config_file(tmp_path / "te_config.txt")
+        assert record["command"] == "te"
+        assert not {"block_order", "plot_data"} & record.keys()
+
+    def test_repeated_trend_flags_replay_both_files(self, tmp_path):
+        trends = FIXTURES / "trends"
+        assert run(["ingest", "--trend", trends / "BTC.csv", "--trend", trends / "crypto.csv",
+                    "--out", tmp_path / "a"]) == 0
+        assert run(["ingest", "--config", tmp_path / "a" / "ingest_config.txt",
+                    "--out", tmp_path / "b"]) == 0
+        assert sorted(p.name for p in (tmp_path / "b").glob("*.csv")) == ["BTC.csv", "crypto.csv"]
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        config = tmp_path / "run.txt"
+        config.write_text("# a whole-line comment\n  # an indented one\nsource = a#1.csv\n")
+        assert read_config_file(config) == {"source": "a#1.csv"}
+
+    def test_record_of_another_command_exits_2(self, tmp_path, capsys):
+        assert run(["returns", "--ohlc", FIXTURES / "ohlc.csv", "--out", tmp_path / "a"]) == 0
+        capsys.readouterr()
+        assert run(["vol", "--config", tmp_path / "a" / "returns_config.txt",
+                    "--out", tmp_path / "b", "--json-errors"]) == 2
+        payload = json_error(capsys)
+        assert payload["error"] == "ConfigError"
+        assert "'returns'" in payload["message"] and "'vol'" in payload["message"]
+        assert not (tmp_path / "b").exists()
+
+    def test_explicit_target_replaces_config_targets(self, tmp_path, prepared):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"source = {prepared / 'subset3_diff.csv'}\n"
+                          f"target = {prepared / 'returns.csv'},{prepared / 'vol_parkinson.csv'}\n"
+                          "target_label = Return,Volatility\nshuffles = 2\nboot = 0\n")
+        out = tmp_path / "out"
+        # the explicit target takes its own label, not the first recorded one
+        assert run(["te", "--config", config, f"--target={prepared / 'vol_parkinson.csv'}",
+                    "--out", out]) == 0
+        rows = read_report(out / "te_report.csv")
+        assert [r["direction"] for r in rows] == ["subset3_diff->vol_parkinson",
+                                                 "vol_parkinson->subset3_diff"]
+        assert read_config_file(out / "te_config.txt")["target"] == str(prepared / "vol_parkinson.csv")
+
+
 class TestLagSweepCommand:
+    def test_single_lag_gives_one_row_per_direction(self, tmp_path, prepared):
+        out = tmp_path / "lag1"
+        assert run(["lagsweep", "--source", prepared / "subset3_diff.csv",
+                    "--target", prepared / "returns.csv", "--min-lag", "1", "--max-lag", "1",
+                    "--shuffles", "3", "--boot", "5", "--out", out]) == 0
+        rows = read_report(out / "lagsweep_report.csv")
+        assert [(r["direction"], r["lag"]) for r in rows] == [
+            ("subset3_diff->returns", "1"), ("returns->subset3_diff", "1")]
+
     def test_rows_per_direction(self, tmp_path, prepared):
         out = tmp_path / "lags"
         assert run(["lagsweep", "--source", prepared / "subset3_diff.csv",

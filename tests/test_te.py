@@ -180,6 +180,37 @@ class TestKernel:
         assert count_transitions(sym(t), sym(s), 30, 30).counts == loop.counts
 
 
+class TestKernelProperties:
+    """The kernel against the triple-loop oracle, and two invariances of plug-in TE."""
+
+    @staticmethod
+    def draw_pair(data):
+        m = data.draw(st.integers(2, 4), label="m")
+        k = data.draw(st.integers(1, 4), label="k")
+        l = data.draw(st.integers(1, 4), label="l")
+        n = data.draw(st.integers(max(k, l) + 1, max(k, l) + 120), label="n")
+        symbols = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+        return m, k, l, np.array(data.draw(symbols)), np.array(data.draw(symbols))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_naive_oracle(self, data):
+        m, k, l, t, s = self.draw_pair(data)
+        te = _te_rows(t, [s], k, l, m, 2.0)[0]
+        assert te == pytest.approx(naive_transfer_entropy(t.tolist(), s.tolist(), k, l),
+                                   abs=1e-12)
+        assert te >= 0.0
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_relabelling_symbols_leaves_te_unchanged(self, data):
+        m, k, l, t, s = self.draw_pair(data)
+        relabel = np.array(data.draw(st.permutations(range(m)), label="relabel"))
+        te = _te_rows(t, [s], k, l, m, 2.0)[0]
+        assert _te_rows(relabel[t], [s], k, l, m, 2.0)[0] == pytest.approx(te, abs=1e-12)
+        assert _te_rows(t, [relabel[s]], k, l, m, 2.0)[0] == pytest.approx(te, abs=1e-12)
+
+
 class TestShuffleSurrogates:
     def test_identity_permutation_equals_raw_te(self):
         src, tgt = generate(ProcessSpec(kind="copy", length=2000, seed=4))
