@@ -31,6 +31,7 @@ from .symbolic import SymbolSeries, symbolize
 from .synth import ProcessSpec, binary_entropy, generate, population_te
 from .te import (
     JointCounts,
+    NullCache,
     TeConfig,
     TeEstimate,
     bootstrap_inference,
@@ -59,6 +60,7 @@ __all__ = [
     "DatedSeries",
     "JointCounts",
     "KeywordSet",
+    "NullCache",
     "OhlcBar",
     "OhlcSeries",
     "ProcessSpec",

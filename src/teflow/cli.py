@@ -95,7 +95,9 @@ def read_config_file(path: Path) -> dict[str, str]:
 def _inject_config(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> list[str]:
     """Expand --config FILE into the flags it sets that argv does not give itself.
 
-    A ``command`` key must name the subcommand. Repeatable flags take comma lists.
+    A ``command`` key must name the subcommand. Repeatable flags take comma
+    lists. A flag on the command line also drops the file's values for the
+    flags it excludes.
     """
     if not argv or argv[0] not in commands:
         return argv  # argparse reports what is wrong with such a command line
@@ -108,15 +110,20 @@ def _inject_config(argv: list[str], commands: dict[str, argparse.ArgumentParser]
     recorded = values.pop("command", argv[0])
     if recorded != argv[0]:
         raise ConfigError(f"{path} is a record of the {recorded!r} command, not {argv[0]!r}")
+    parser = commands[argv[0]]
     given = {arg.split("=", 1)[0] for arg in argv[1:]}
     if "--target" in given:
         given.add("--target-label")  # labels pair with targets by position
+    for group in parser._mutually_exclusive_groups:  # argparse has no public accessor
+        flags = {opt for action in group._group_actions for opt in action.option_strings}
+        if flags & given:
+            given |= flags
     injected: list[str] = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
         if flag in given:
             continue
-        default = commands[argv[0]].get_default(key)
+        default = parser.get_default(key)
         if isinstance(default, bool) and value.lower() in ("true", "false"):
             injected += [flag] * (value.lower() == "true")
         else:
@@ -197,6 +204,9 @@ def cmd_vol(args) -> None:
 
 
 def _load_te_inputs(args) -> tuple[DatedSeries, list[DatedSeries]]:
+    if len(args.target_label) > len(args.target):
+        raise ConfigError(f"{len(args.target_label)} --target-label values for "
+                          f"{len(args.target)} --target files; give at most one label per target")
     source = load_series_csv(args.source, label=args.source_label)
     labels = args.target_label + [None] * len(args.target)
     return source, [load_series_csv(path, label=label) for path, label in zip(args.target, labels)]

@@ -13,7 +13,7 @@ from typing import Mapping
 from .errors import ConfigError, InvariantViolation, LagTooLargeForSample, SeriesTooShort, WindowTooSmall
 from .series import DatedSeries, align, format_value, write_csv
 from .symbolic import symbolize
-from .te import _DOMAIN_DIRECTION, TeConfig, TeEstimate, derive_seed, estimate
+from .te import _DOMAIN_DIRECTION, NullCache, TeConfig, TeEstimate, derive_seed, estimate
 from .trends import first_difference
 
 log = logging.getLogger(__name__)
@@ -43,13 +43,14 @@ def _direction_config(config: TeConfig, index: int) -> TeConfig:
     return replace(config, seed=derive_seed(config.seed, _DOMAIN_DIRECTION, index))
 
 
-def run_pair(source: DatedSeries, target: DatedSeries,
-             config: TeConfig) -> tuple[TeEstimate, TeEstimate]:
+def run_pair(source: DatedSeries, target: DatedSeries, config: TeConfig, *,
+             null_cache: NullCache | None = None) -> tuple[TeEstimate, TeEstimate]:
     """Both directional estimates for one aligned pair.
 
     Series are symbolized individually (after any transforms, which the caller
     applies) with the config's quantile cuts. Returns (source->target,
-    target->source).
+    target->source). A ``null_cache`` lets later calls of the same run reuse
+    the bootstrap nulls (see :class:`NullCache`).
     """
     if source.dates != target.dates:
         raise InvariantViolation("run_pair requires date-aligned inputs; call align() first")
@@ -64,9 +65,9 @@ def run_pair(source: DatedSeries, target: DatedSeries,
         s_sym = symbolize(source, config.quantile_cuts)
         t_sym = symbolize(target, config.quantile_cuts)
     forward = estimate(t_sym, s_sym, _direction_config(config, 0),
-                       direction=f"{src_name}->{tgt_name}")
+                       direction=f"{src_name}->{tgt_name}", null_cache=null_cache)
     backward = estimate(s_sym, t_sym, _direction_config(config, 1),
-                        direction=f"{tgt_name}->{src_name}")
+                        direction=f"{tgt_name}->{src_name}", null_cache=null_cache)
     return forward, backward
 
 
@@ -81,14 +82,15 @@ def _coverage_check(n_obs: int, config: TeConfig, lag: int) -> None:
 
 
 def lag_sweep(source: DatedSeries, target: DatedSeries, config: TeConfig,
-              lag_range: tuple[int, int],
-              mode: str = "history") -> dict[str, list[tuple[int, TeEstimate]]]:
+              lag_range: tuple[int, int], mode: str = "history", *,
+              null_cache: NullCache | None = None) -> dict[str, list[tuple[int, TeEstimate]]]:
     """Estimates per lag for both directions.
 
     The default interpretation varies both history lengths jointly
     (k = l = lag). ``mode="shift"`` instead keeps k = l = 1 and shifts the
     source back by lag-1 days, as a sensitivity alternative; lag 1 is
-    identical in both modes.
+    identical in both modes. With a ``null_cache`` and a pinned
+    ``block_order``, every history-mode lag shares one null set per direction.
     """
     lo, hi = int(lag_range[0]), int(lag_range[1])
     if lo < 1 or hi < lo:
@@ -100,7 +102,7 @@ def lag_sweep(source: DatedSeries, target: DatedSeries, config: TeConfig,
         if mode == "history":
             cfg = replace(config, k=lag, l=lag)
             _coverage_check(len(source), cfg, lag)
-            fwd, bwd = run_pair(source, target, cfg)
+            fwd, bwd = run_pair(source, target, cfg, null_cache=null_cache)
         else:
             shift = lag - 1
             if len(source) - shift <= max(config.k, config.l) + 1:
@@ -109,7 +111,7 @@ def lag_sweep(source: DatedSeries, target: DatedSeries, config: TeConfig,
             dates = target.dates[shift:]
             src = replace(source, dates=dates, values=source.values[: n - shift])
             tgt = target.window(shift, n)
-            fwd, bwd = run_pair(src, tgt, config)
+            fwd, bwd = run_pair(src, tgt, config, null_cache=null_cache)
         curves.setdefault(fwd.direction, []).append((lag, fwd))
         curves.setdefault(bwd.direction, []).append((lag, bwd))
     return curves
@@ -141,7 +143,8 @@ class WindowResult:
 
 
 def window_analysis(source: DatedSeries, target: DatedSeries, config: TeConfig,
-                    scheme: WindowScheme) -> tuple[list[WindowResult], int]:
+                    scheme: WindowScheme, *,
+                    null_cache: NullCache | None = None) -> tuple[list[WindowResult], int]:
     """Full run_pair per consecutive, non-overlapping, equal-sized window.
 
     Windows partition a prefix of the aligned sample; remainder observations
@@ -169,7 +172,8 @@ def window_analysis(source: DatedSeries, target: DatedSeries, config: TeConfig,
     results = []
     for w in range(count):
         lo, hi = w * size, (w + 1) * size
-        fwd, bwd = run_pair(source.window(lo, hi), target.window(lo, hi), config)
+        fwd, bwd = run_pair(source.window(lo, hi), target.window(lo, hi), config,
+                            null_cache=null_cache)
         results.append(WindowResult(index=w, start=source.dates[lo],
                                     end=source.dates[hi - 1], forward=fwd, backward=bwd))
     return results, dropped
@@ -278,8 +282,11 @@ def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries])
 
     Transforms are applied per series first, then each pair is inner-joined on
     dates. Reports are reproducible bit for bit from (inputs, spec, seed).
+    One :class:`NullCache` serves the whole run, so each distinct bootstrap
+    null is regenerated once.
     """
     report = AnalysisReport()
+    null_cache = NullCache()
     report.meta["seed"] = spec.te_config.seed
     for src_label, tgt_label, both in spec.pairs:
         try:
@@ -291,16 +298,18 @@ def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries])
         tgt = apply_transform(tgt, spec.transforms.get(tgt_label, "levels"))
         src, tgt = align(src.drop_missing(), tgt.drop_missing())
         if spec.include_base_rows:
-            fwd, bwd = run_pair(src, tgt, spec.te_config)
+            fwd, bwd = run_pair(src, tgt, spec.te_config, null_cache=null_cache)
             report.rows.append(fwd)
             if both:
                 report.rows.append(bwd)
         if spec.lag_range is not None:
-            curves = lag_sweep(src, tgt, spec.te_config, spec.lag_range, mode=spec.lag_mode)
+            curves = lag_sweep(src, tgt, spec.te_config, spec.lag_range, mode=spec.lag_mode,
+                               null_cache=null_cache)
             for direction, curve in curves.items():
                 report.lag_curves.setdefault(direction, []).extend(curve)
         if spec.window_scheme is not None:
-            windows, dropped = window_analysis(src, tgt, spec.te_config, spec.window_scheme)
+            windows, dropped = window_analysis(src, tgt, spec.te_config, spec.window_scheme,
+                                               null_cache=null_cache)
             report.window_results.extend(windows)
             report.meta[f"dropped_observations[{src.label}->{tgt.label}]"] = dropped
     return report

@@ -40,6 +40,10 @@ _SMALL_N = 64
 # codes per block of source rows in the kernel; bounds its working memory
 _BLOCK_CODES = 1 << 15
 
+# time steps of Markov-null uniforms drawn at once; bounds their memory to
+# _NULL_CHUNK x n_bootstrap doubles
+_NULL_CHUNK = 1024
+
 Pattern = tuple[int, ...]
 CountKey = tuple[int, Pattern, Pattern]
 
@@ -351,7 +355,9 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
 
     Preserves the source's dynamics while breaking any cross-coupling to the
     target. All replications evolve jointly (vectorized across chains), each
-    driven by uniforms from its own substream.
+    driven by uniforms from its own substream. The uniforms are drawn
+    ``_NULL_CHUNK`` steps at a time; successive draws from one generator give
+    the same doubles as a single draw of their total length.
     """
     n = source.shape[0]
     if n <= order:
@@ -371,35 +377,72 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
     # m <= 4096 by the check above, so int16 holds every symbol at a quarter of the memory
     out = np.empty((n_reps, n), dtype=np.int16)
     states = np.empty(n_reps, dtype=np.int64)
-    uniforms = np.empty((n_reps, n - order))
+    rngs = []
     for i in range(n_reps):
         rng = substream(seed, _DOMAIN_BOOTSTRAP, i)
         start = int(rng.integers(ctx.shape[0]))
         states[i] = ctx[start]
         out[i, :order] = source[start: start + order]
-        uniforms[i] = rng.random(n - order)
+        rngs.append(rng)
 
     carry = m ** (order - 1)
-    for t in range(order, n):
-        if not visited[states].all():
-            raise InsufficientData(
-                "bootstrap regeneration reached a source Markov state never visited in the data"
-            )
-        rows = cum[states]
-        drawn = (uniforms[:, t - order, None] > rows).sum(axis=1)
-        out[:, t] = drawn
-        states = drawn + m * (states % carry)
+    uniforms = np.empty((min(_NULL_CHUNK, n - order), n_reps))
+    for lo in range(order, n, _NULL_CHUNK):
+        hi = min(lo + _NULL_CHUNK, n)
+        for i, rng in enumerate(rngs):
+            uniforms[: hi - lo, i] = rng.random(hi - lo)
+        for t in range(lo, hi):
+            if not visited[states].all():
+                raise InsufficientData(
+                    "bootstrap regeneration reached a source Markov state never visited in the data"
+                )
+            rows = cum[states]
+            drawn = (uniforms[t - lo, :, None] > rows).sum(axis=1)
+            out[:, t] = drawn
+            states = drawn + m * (states % carry)
     return out
 
 
+class NullCache:
+    """The Markov-bootstrap null sources of one run, reused on an exact match.
+
+    A set is keyed by (sha256 of the source symbols, alphabet size, block
+    order, replication count, seed) and reused only when the whole key
+    matches, so reuse cannot change a result. One set is held per seed, and a
+    new key for that seed replaces it: a run derives one seed per direction,
+    so it holds one set per direction. Held arrays are read-only.
+    """
+
+    def __init__(self):
+        self._sets: dict[int, tuple[tuple, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def sources(self, source: np.ndarray, m: int, order: int, n_reps: int,
+                seed: int) -> np.ndarray:
+        """The null sources :func:`_markov_null_sources` gives for these arguments."""
+        key = (hashlib.sha256(source.tobytes()).digest(), m, order, n_reps, seed)
+        held = self._sets.get(seed)
+        if held is None or held[0] != key:
+            self._sets.pop(seed, None)  # free the old set before drawing its replacement
+            nulls = _markov_null_sources(source, m, order, n_reps, seed)
+            nulls.flags.writeable = False
+            held = self._sets[seed] = (key, nulls)
+        return held[1]
+
+
 def bootstrap_inference(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
-                        observed_te: float | None = None) -> tuple[float | None, float | None]:
+                        observed_te: float | None = None, *,
+                        null_cache: NullCache | None = None) -> tuple[float | None, float | None]:
     """Markov block-bootstrap null distribution for the observed TE.
 
     The source is regenerated ``n_bootstrap`` times at Markov order
     ``block_order`` (its own dynamics preserved, coupling destroyed); returns
     (std_err, p_value) where p is the fraction of null TEs at or above the
-    observed TE. With n_bootstrap = 0 both are reported absent.
+    observed TE. With n_bootstrap = 0 both are reported absent. A
+    ``null_cache`` reuses the sources regenerated by an earlier call of the
+    same run; without one they are regenerated on every call.
     """
     if config.n_bootstrap == 0:
         return None, None
@@ -407,8 +450,8 @@ def bootstrap_inference(target: SymbolSeries, source: SymbolSeries, config: TeCo
     t, s = target.symbols, source.symbols
     if observed_te is None:
         observed_te = float(_te_rows(t, [s], config.k, config.l, m, config.log_base)[0])
-    nulls_src = _markov_null_sources(s, m, config.effective_block_order,
-                                     config.n_bootstrap, config.seed)
+    regenerate = _markov_null_sources if null_cache is None else null_cache.sources
+    nulls_src = regenerate(s, m, config.effective_block_order, config.n_bootstrap, config.seed)
     null_tes = _te_rows(t, nulls_src, config.k, config.l, m, config.log_base)
     std_err = float(null_tes.std(ddof=1)) if config.n_bootstrap > 1 else 0.0
     p_value = float(np.count_nonzero(null_tes >= observed_te) / config.n_bootstrap)
@@ -416,8 +459,10 @@ def bootstrap_inference(target: SymbolSeries, source: SymbolSeries, config: TeCo
 
 
 def estimate(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
-             direction: str = "source->target") -> TeEstimate:
+             direction: str = "source->target", *,
+             null_cache: NullCache | None = None) -> TeEstimate:
     """Full directional estimate: TE, ETE, and bootstrap inference in one record."""
     est = effective_transfer_entropy(target, source, config, direction=direction)
-    std_err, p_value = bootstrap_inference(target, source, config, observed_te=est.te)
+    std_err, p_value = bootstrap_inference(target, source, config, observed_te=est.te,
+                                           null_cache=null_cache)
     return replace(est, std_err=std_err, p_value=p_value)

@@ -1,12 +1,15 @@
 """Independent reference implementations used to validate the library.
 
 Everything here recounts from raw sequences with plain Python and probability
-arithmetic; nothing is shared with the production code paths.
+arithmetic, except the Markov null reference, which needs numpy's generators;
+nothing is shared with the production code paths.
 """
 
 import functools
 import itertools
 import math
+
+import numpy as np
 
 
 def naive_transfer_entropy(target, source, k=1, l=1, base=2.0):
@@ -139,3 +142,41 @@ def markov_pair_te_bits(source_matrix, target_tensor, power_steps=4096):
                 p_cond_marg = p_nxt_hist / p_hist
                 te += p * math.log2(p_cond_full / p_cond_marg)
     return te
+
+
+def markov_null_one_shot(source, m, order, n_reps, seed, domain=2):
+    """Markov-bootstrap null sources with all uniforms drawn in one call.
+
+    Per replication: a generator from SeedSequence(seed, spawn_key=(domain, i)),
+    ``integers`` for the start context, then one ``random(n - order)`` for
+    every later step; then all chains step together. Returns an (n_reps, n)
+    int array, or None when a chain reaches a context never followed by a
+    symbol in the data.
+    """
+    source = np.asarray(source, dtype=np.int64)
+    n = source.shape[0]
+    ctx = np.zeros(n - order, dtype=np.int64)
+    for j in range(1, order + 1):
+        ctx += source[order - j: n - j] * m ** (j - 1)
+    table = np.bincount(ctx * m + source[order:], minlength=m ** order * m).reshape(-1, m)
+    row_tot = table.sum(axis=1)
+    visited = row_tot > 0
+    cum = np.zeros(table.shape)
+    cum[visited] = np.cumsum(table[visited] / row_tot[visited, None], axis=1)
+    cum[visited, -1] = 1.0
+    out = np.empty((n_reps, n), dtype=np.int64)
+    states = np.empty(n_reps, dtype=np.int64)
+    uniforms = np.empty((n_reps, n - order))
+    for i in range(n_reps):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(domain, i)))
+        start = int(rng.integers(n - order))
+        states[i] = ctx[start]
+        out[i, :order] = source[start: start + order]
+        uniforms[i] = rng.random(n - order)
+    for t in range(order, n):
+        if not visited[states].all():
+            return None
+        drawn = (uniforms[:, t - order, None] > cum[states]).sum(axis=1)
+        out[:, t] = drawn
+        states = drawn + m * (states % m ** (order - 1))
+    return out

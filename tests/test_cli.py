@@ -272,6 +272,17 @@ class TestRunRecord:
                                                  "vol_parkinson->subset3_diff"]
         assert read_config_file(out / "te_config.txt")["target"] == str(prepared / "vol_parkinson.csv")
 
+    def test_explicit_flag_displaces_its_exclusive_group(self, tmp_path, prepared):
+        first, replay, direct = tmp_path / "first", tmp_path / "replay", tmp_path / "direct"
+        assert run(["windows", *replay_commands(prepared)["windows"], "--out", first]) == 0
+        assert run(["windows", "--config", first / "windows_config.txt", "--size", "200",
+                    "--out", replay]) == 0
+        assert "count" not in read_config_file(replay / "windows_config.txt")
+        assert run(["windows", *replay_commands(prepared)["te"], "--size", "200",
+                    "--out", direct]) == 0
+        report = (replay / "windows_report.csv").read_bytes()
+        assert report == (direct / "windows_report.csv").read_bytes()
+
 
 class TestLagSweepCommand:
     def test_single_lag_gives_one_row_per_direction(self, tmp_path, prepared):
@@ -410,6 +421,17 @@ class TestExitCodes:
                     "--target-label", "src", *common]) == 2
         assert "'src'" in json_error(capsys)["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_more_labels_than_targets_exits_2(self, tmp_path, prepared, capsys):
+        out = tmp_path / "out"
+        assert run(["te", "--source", prepared / "subset3_diff.csv",
+                    "--target", prepared / "returns.csv",
+                    "--target-label", "Return", "--target-label", "Extra",
+                    "--shuffles", "2", "--boot", "0", "--out", out, "--json-errors"]) == 2
+        payload = json_error(capsys)
+        assert payload["error"] == "ConfigError"
+        assert "2 --target-label values for 1 --target" in payload["message"]
+        assert not out.exists()
 
 
 class TestSynthgenCommand:

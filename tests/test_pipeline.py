@@ -1,6 +1,7 @@
 """Pipeline tests: alignment, direction pairs, lag sweeps, windows, reports."""
 
 import json
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from teflow import (
     AnalysisSpec,
     DatedSeries,
+    NullCache,
     TeConfig,
     WindowScheme,
     align,
@@ -27,6 +29,7 @@ from teflow.errors import (
 )
 from teflow.pipeline import REPORT_COLUMNS
 from teflow.synth import ProcessSpec, generate
+import teflow.te as te_mod
 from teflow.te import substream
 
 
@@ -170,6 +173,67 @@ class TestLagSweep:
         src, tgt = synthetic_pair(100, 11)
         with pytest.raises(ConfigError):
             lag_sweep(src, tgt, FAST, (0, 2))
+
+
+@pytest.mark.filterwarnings("ignore::teflow.errors.LagTooLargeForSample")
+class TestNullReuse:
+    """A NullCache regenerates each distinct Markov null once, and changes no result."""
+
+    @pytest.fixture
+    def regenerations(self, monkeypatch):
+        """Per call of te._markov_null_sources: the array it returned."""
+        calls = []
+        regenerate = te_mod._markov_null_sources
+
+        def counted(*args):
+            calls.append(regenerate(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(te_mod, "_markov_null_sources", counted)
+        return calls
+
+    def sweep(self, cfg, cache):
+        src, tgt = synthetic_pair(2000, 20)
+        return src, tgt, lag_sweep(src, tgt, cfg, (1, 8), null_cache=cache)
+
+    def test_pinned_order_sweep_regenerates_once_per_direction(self, regenerations):
+        src, tgt, curves = self.sweep(replace(FAST, block_order=1), NullCache())
+        assert len(regenerations) == 2
+        for lag in range(1, 9):
+            fwd, bwd = run_pair(src, tgt, replace(FAST, block_order=1, k=lag, l=lag))
+            assert curves["x->y"][lag - 1] == (lag, fwd)
+            assert curves["y->x"][lag - 1] == (lag, bwd)
+        assert len(regenerations) == 2 + 16  # without a cache, every call regenerates
+
+    def test_default_order_sweep_holds_one_set_per_direction(self, regenerations, monkeypatch):
+        cache = NullCache()
+        held = []
+        sources = NullCache.sources
+
+        def watched(self, *args):
+            out = sources(self, *args)
+            held.append(len(self))
+            return out
+
+        monkeypatch.setattr(NullCache, "sources", watched)
+        self.sweep(FAST, cache)
+        assert len(regenerations) == 16  # order = lag, so no two lags share a null
+        assert max(held) == 2
+
+    def test_held_nulls_are_read_only(self, regenerations):
+        self.sweep(replace(FAST, block_order=1), NullCache())
+        assert regenerations and not any(a.flags.writeable for a in regenerations)
+
+    def test_run_analysis_reuses_only_identical_nulls(self, regenerations):
+        src, tgt = synthetic_pair(400, 21)
+        cfg = replace(FAST, block_order=1)
+        spec = AnalysisSpec(pairs=(("x", "y", True),), te_config=cfg, lag_range=(1, 3),
+                            window_scheme=WindowScheme(count=2))
+        report = run_analysis(spec, {"x": src, "y": tgt})
+        # base rows and lags 1-3 share both directions' nulls; each window has its own symbols
+        assert len(regenerations) == 2 + 2 * 2
+        assert report.rows == list(run_pair(src, tgt, cfg))
+        assert report.window_results == window_analysis(src, tgt, cfg, WindowScheme(count=2))[0]
 
 
 class TestWindowAnalysis:

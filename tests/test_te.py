@@ -30,7 +30,7 @@ import teflow.te as te_mod
 from teflow.te import _te_rows, _transition_counts
 from teflow.synth import ProcessSpec, generate
 
-from oracles import naive_transfer_entropy
+from oracles import markov_null_one_shot, naive_transfer_entropy
 
 GOLDEN_X = [0, 1, 1, 0, 1, 0, 0, 1]
 GOLDEN_Y = [0, 0, 1, 1, 0, 1, 0, 0]
@@ -298,6 +298,33 @@ class TestBootstrapInference:
         cfg = TeConfig(n_shuffles=1, n_bootstrap=50, block_order=2, seed=1)
         with pytest.raises(InsufficientData):
             bootstrap_inference(tgt, src, cfg)
+
+
+def no_dead_end_source(n, m, order, seed):
+    """Random symbols whose last order-context also opens the series, so every
+    context the regeneration can reach was followed by a symbol in the data."""
+    head = np.random.default_rng(seed).integers(0, m, n - order)
+    return np.concatenate([head, head[:order]])
+
+
+class TestMarkovNullStreaming:
+    """Uniforms drawn chunk by chunk give exactly the one-shot draw's nulls."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [7, 8, 9, 15, 16, 17])
+    def test_chunked_equals_one_shot_draw(self, monkeypatch, m, order, steps):
+        monkeypatch.setattr(te_mod, "_NULL_CHUNK", 8)
+        src = no_dead_end_source(order + steps, m, order, seed=steps)
+        got = te_mod._markov_null_sources(src, m, order, 5, seed=m * 10 + order)
+        np.testing.assert_array_equal(got, markov_null_one_shot(src, m, order, 5, m * 10 + order))
+
+    @pytest.mark.parametrize("steps", [te_mod._NULL_CHUNK - 1, te_mod._NULL_CHUNK,
+                                       2 * te_mod._NULL_CHUNK + 1])
+    def test_default_chunk_equals_one_shot_draw(self, steps):
+        src = no_dead_end_source(2 + steps, 3, 2, seed=1)
+        got = te_mod._markov_null_sources(src, 3, 2, 4, seed=9)
+        np.testing.assert_array_equal(got, markov_null_one_shot(src, 3, 2, 4, 9))
 
 
 class TestTeConfig:
