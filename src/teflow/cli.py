@@ -114,7 +114,9 @@ def _inject_config(argv: list[str], commands: dict[str, argparse.ArgumentParser]
     given = {arg.split("=", 1)[0] for arg in argv[1:]}
     if "--target" in given:
         given.add("--target-label")  # labels pair with targets by position
-    for group in parser._mutually_exclusive_groups:  # argparse has no public accessor
+    # argparse has no public accessor for these groups; if the private names
+    # change, test_explicit_flag_displaces_its_exclusive_group fails
+    for group in parser._mutually_exclusive_groups:
         flags = {opt for action in group._group_actions for opt in action.option_strings}
         if flags & given:
             given |= flags

@@ -143,8 +143,7 @@ class WindowResult:
 
 
 def window_analysis(source: DatedSeries, target: DatedSeries, config: TeConfig,
-                    scheme: WindowScheme, *,
-                    null_cache: NullCache | None = None) -> tuple[list[WindowResult], int]:
+                    scheme: WindowScheme) -> tuple[list[WindowResult], int]:
     """Full run_pair per consecutive, non-overlapping, equal-sized window.
 
     Windows partition a prefix of the aligned sample; remainder observations
@@ -172,8 +171,7 @@ def window_analysis(source: DatedSeries, target: DatedSeries, config: TeConfig,
     results = []
     for w in range(count):
         lo, hi = w * size, (w + 1) * size
-        fwd, bwd = run_pair(source.window(lo, hi), target.window(lo, hi), config,
-                            null_cache=null_cache)
+        fwd, bwd = run_pair(source.window(lo, hi), target.window(lo, hi), config)
         results.append(WindowResult(index=w, start=source.dates[lo],
                                     end=source.dates[hi - 1], forward=fwd, backward=bwd))
     return results, dropped
@@ -282,8 +280,10 @@ def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries])
 
     Transforms are applied per series first, then each pair is inner-joined on
     dates. Reports are reproducible bit for bit from (inputs, spec, seed).
-    One :class:`NullCache` serves the whole run, so each distinct bootstrap
-    null is regenerated once.
+    One :class:`NullCache` serves the base rows and lag sweeps of the whole
+    run, so each of their distinct bootstrap nulls is regenerated once.
+    Windows run without it: each symbolizes its own slice, so no two share a
+    null.
     """
     report = AnalysisReport()
     null_cache = NullCache()
@@ -308,8 +308,7 @@ def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries])
             for direction, curve in curves.items():
                 report.lag_curves.setdefault(direction, []).extend(curve)
         if spec.window_scheme is not None:
-            windows, dropped = window_analysis(src, tgt, spec.te_config, spec.window_scheme,
-                                               null_cache=null_cache)
+            windows, dropped = window_analysis(src, tgt, spec.te_config, spec.window_scheme)
             report.window_results.extend(windows)
             report.meta[f"dropped_observations[{src.label}->{tgt.label}]"] = dropped
     return report

@@ -416,9 +416,6 @@ class NullCache:
     def __init__(self):
         self._sets: dict[int, tuple[tuple, np.ndarray]] = {}
 
-    def __len__(self) -> int:
-        return len(self._sets)
-
     def sources(self, source: np.ndarray, m: int, order: int, n_reps: int,
                 seed: int) -> np.ndarray:
         """The null sources :func:`_markov_null_sources` gives for these arguments."""

@@ -205,20 +205,13 @@ class TestNullReuse:
             assert curves["y->x"][lag - 1] == (lag, bwd)
         assert len(regenerations) == 2 + 16  # without a cache, every call regenerates
 
-    def test_default_order_sweep_holds_one_set_per_direction(self, regenerations, monkeypatch):
+    def test_default_order_sweep_holds_one_set_per_direction(self, regenerations):
         cache = NullCache()
-        held = []
-        sources = NullCache.sources
-
-        def watched(self, *args):
-            out = sources(self, *args)
-            held.append(len(self))
-            return out
-
-        monkeypatch.setattr(NullCache, "sources", watched)
         self.sweep(FAST, cache)
         assert len(regenerations) == 16  # order = lag, so no two lags share a null
-        assert max(held) == 2
+        assert len(cache._sets) == 2
+        # each new key replaced its seed's set, so only the last lag's two are held
+        assert all(held is drawn for (_, held), drawn in zip(cache._sets.values(), regenerations[-2:]))
 
     def test_held_nulls_are_read_only(self, regenerations):
         self.sweep(replace(FAST, block_order=1), NullCache())
@@ -230,7 +223,8 @@ class TestNullReuse:
         spec = AnalysisSpec(pairs=(("x", "y", True),), te_config=cfg, lag_range=(1, 3),
                             window_scheme=WindowScheme(count=2))
         report = run_analysis(spec, {"x": src, "y": tgt})
-        # base rows and lags 1-3 share both directions' nulls; each window has its own symbols
+        # base rows and lags 1-3 share both directions' nulls; the windows run
+        # without the cache, each on its own symbols
         assert len(regenerations) == 2 + 2 * 2
         assert report.rows == list(run_pair(src, tgt, cfg))
         assert report.window_results == window_analysis(src, tgt, cfg, WindowScheme(count=2))[0]
