@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSpec, ParseError, TeflowError, UsageError, ValueOutOfRange
+from .errors import ConfigError, InvalidSpec, ParseError, TeflowError, UsageError
 from .market import garman_klass_volatility, load_ohlc_csv, log_returns, parkinson_volatility
 from .pipeline import LAG_MODES, TRANSFORMS, AnalysisReport, AnalysisSpec, WindowScheme, run_analysis
-from .series import DatedSeries, format_value, load_series_csv, read_lines, read_text, write_csv
+from .series import (DatedSeries, format_value, join_fields, load_series_csv, read_lines, read_text,
+                     split_fields, write_csv)
 from .te import TeConfig
 from .trends import PRESET_NAMES, build_composite, first_difference, load_keyword_file, load_trend_csv, preset
 from .synth import KINDS, ProcessSpec, generate
@@ -76,7 +77,7 @@ def _write_run_config(args) -> None:
         if value is None or value is False or value == []:
             continue
         if isinstance(value, (list, tuple)):
-            value = ",".join(str(v) for v in value)
+            value = join_fields(str(v) for v in value)
         lines.append(f"{key} = {value}")
     (args.out / f"{args.command}_config.txt").write_text("\n".join(lines) + "\n")
 
@@ -96,8 +97,8 @@ def _inject_config(argv: list[str], commands: dict[str, argparse.ArgumentParser]
     """Expand --config FILE into the flags it sets that argv does not give itself.
 
     A ``command`` key must name the subcommand. Repeatable flags take comma
-    lists. A flag on the command line also drops the file's values for the
-    flags it excludes.
+    lists, quoted CSV-style. A flag on the command line also drops the file's
+    values for the flags it excludes.
     """
     if not argv or argv[0] not in commands:
         return argv  # argparse reports what is wrong with such a command line
@@ -129,7 +130,7 @@ def _inject_config(argv: list[str], commands: dict[str, argparse.ArgumentParser]
         if isinstance(default, bool) and value.lower() in ("true", "false"):
             injected += [flag] * (value.lower() == "true")
         else:
-            for part in value.split(",") if isinstance(default, list) else [value]:
+            for part in split_fields(value) if isinstance(default, list) else [value]:
                 injected += [flag, part]
     # keep the subcommand first, then config-derived flags, then explicit flags
     return argv[:1] + injected + argv[1:]
@@ -158,12 +159,7 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_index(args) -> None:
-    if args.set:
-        kw_set = preset(args.set)
-    elif args.keywords:
-        kw_set = load_keyword_file(args.keywords)
-    else:
-        raise ValueOutOfRange(f"pass --set (one of {', '.join(PRESET_NAMES)}) or --keywords FILE")
+    kw_set = load_keyword_file(args.keywords) if args.set is None else preset(args.set)
     series_by_keyword = {}
     for kw in kw_set.keywords:
         candidates = [args.input_dir / f"{kw}.csv", args.input_dir / f"{kw.casefold()}.csv"]
@@ -336,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("index", help="build a composite attention index")
-    p.add_argument("--set", default=None,
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--set", default=None,
                    help=f"built-in keyword set: one of {', '.join(PRESET_NAMES)}")
-    p.add_argument("--keywords", type=Path, default=None, help="custom keyword list file")
+    g.add_argument("--keywords", type=Path, default=None, help="custom keyword list file")
     p.add_argument("--input-dir", type=Path, required=True, help="directory of keyword CSVs")
     p.add_argument("--diff", action="store_true", help="also write first differences")
     _add_io_flags(p)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from datetime import date
@@ -133,6 +134,18 @@ def read_dated_csv(path, parse, columns: int, header=None,
             raise ParseError(f"duplicate date {day.isoformat()}", path=path, line=i)
         parsed[day] = value
     return sorted(parsed.items())  # dates are unique, so values are never compared
+
+
+def join_fields(items) -> str:
+    """``items`` as one CSV line; only an item holding a comma, a quote or a line break is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(items)
+    return buf.getvalue()
+
+
+def split_fields(text: str) -> list[str]:
+    """The items of a line written by :func:`join_fields`."""
+    return next(csv.reader([text]), [])
 
 
 def write_csv(path, header, rows) -> None:

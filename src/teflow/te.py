@@ -34,7 +34,8 @@ _DOMAIN_SHUFFLE = 1
 _DOMAIN_BOOTSTRAP = 2
 _DOMAIN_DIRECTION = 3
 
-# below this many transition tuples a plain Python loop beats numpy dispatch
+# count tables of at most this many transition tuples keep their first-seen
+# order; longer ones are sorted into the order in which _te_rows sums them
 _SMALL_N = 64
 
 # codes per block of source rows in the kernel; bounds its working memory
@@ -153,11 +154,6 @@ class JointCounts:
         return sum(self.counts.values())
 
 
-def _patterns(codes: np.ndarray, m: int, length: int) -> list[Pattern]:
-    """History codes decoded into tuples, most recent symbol first."""
-    return list(map(tuple, (codes[:, None] // m ** np.arange(length) % m).tolist()))
-
-
 def _history_codes(arr: np.ndarray, offset: int, n: int, depth: int, m: int) -> np.ndarray:
     """Base-m codes of the ``depth`` symbols before each step, per row of ``arr``."""
     codes = np.zeros(arr.shape[:-1] + (n - offset,), dtype=np.int64)
@@ -166,62 +162,30 @@ def _history_codes(arr: np.ndarray, offset: int, n: int, depth: int, m: int) -> 
     return codes
 
 
-def _target_side(target: np.ndarray, k: int, h: int, m: int):
-    """Per step, its target history's rank; per rank, its code, count and counts by next symbol."""
-    th_codes, th_rank, th_tot = np.unique(_history_codes(target, h, target.shape[0], k, m),
-                                          return_inverse=True, return_counts=True)
-    nxt_th = np.bincount(th_rank * m + target[h:], minlength=th_codes.size * m).reshape(-1, m)
-    return th_rank, th_codes, th_tot, nxt_th
-
-
-def _block_cells(target: np.ndarray, th_rank: np.ndarray, block: np.ndarray,
-                 h: int, l: int, m: int):
-    """Observed cells of each source row in ``block``: (row, next symbol, target
-    history rank, source history code, count, context count), each row's cells
-    in ascending joint-code order (next symbol most significant, then the
-    histories, each with its most recent symbol least significant)."""
-    # context-major key, so that the cells of one context sit side by side
-    key = (th_rank * m ** l + _history_codes(block, h, target.shape[0], l, m)) * m + target[h:]
-    key.sort(axis=1)
-    new = np.ones(key.shape, dtype=bool)
-    new[:, 1:] = key[:, 1:] != key[:, :-1]
-    row, col = np.nonzero(new)
-    count = np.diff(row * key.shape[1] + col, append=key.size)
-    ctx, nxt = np.divmod(key[row, col], m)
-    first = np.flatnonzero((col == 0) | (ctx != np.roll(ctx, 1)))
-    ctx_count = np.repeat(np.add.reduceat(count, first), np.diff(first, append=ctx.size))
-    order = np.argsort(row * m + nxt, kind="stable")
-    th, sh = np.divmod(ctx[order], m ** l)
-    return row[order], nxt[order], th, sh, count[order], ctx_count[order]
-
-
 def _transition_counts(target: np.ndarray, source: np.ndarray,
                        k: int, l: int, m: int) -> dict[CountKey, int]:
     n = target.shape[0]
     h = max(k, l)
-    if n - h <= _SMALL_N:
-        counts: dict[CountKey, int] = {}
-        tl = target.tolist()
-        sl = source.tolist()
-        if k == 1 and l == 1:
-            prev_t = tl[0]
-            prev_s = sl[0]
-            for t in range(1, n):
-                cur = tl[t]
-                key = (cur, (prev_t,), (prev_s,))
-                counts[key] = counts.get(key, 0) + 1
-                prev_t = cur
-                prev_s = sl[t]
-            return counts
+    counts: dict[CountKey, int] = {}
+    tl = target.tolist()
+    sl = source.tolist()
+    if k == 1 and l == 1:
+        prev_t = tl[0]
+        prev_s = sl[0]
+        for t in range(1, n):
+            cur = tl[t]
+            key = (cur, (prev_t,), (prev_s,))
+            counts[key] = counts.get(key, 0) + 1
+            prev_t = cur
+            prev_s = sl[t]
+    else:
         for t in range(h, n):
             key = (tl[t], tuple(tl[t - k: t][::-1]), tuple(sl[t - l: t][::-1]))
             counts[key] = counts.get(key, 0) + 1
+    if n - h <= _SMALL_N:
         return counts
-
-    th_rank, th_codes, _, _ = _target_side(target, k, h, m)
-    _, nxt, th, sh, count, _ = _block_cells(target, th_rank, source[None], h, l, m)
-    keys = zip(nxt.tolist(), _patterns(th_codes[th], m, k), _patterns(sh, m, l))
-    return dict(zip(keys, count.tolist()))
+    # ascending joint code: next symbol, then each history with its oldest symbol most significant
+    return dict(sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1][::-1], kv[0][2][::-1])))
 
 
 def _te_rows(target: np.ndarray, sources: Iterable[np.ndarray],
@@ -233,18 +197,36 @@ def _te_rows(target: np.ndarray, sources: Iterable[np.ndarray],
     from ``math.log`` and each row summed left to right. Rows are drawn from
     ``sources`` one block at a time, so a lazy iterable is never held whole.
     """
+    n = target.shape[0]
     h = max(k, l)
-    span = target.shape[0] - h
-    th_rank, _, th_tot, nxt_th = _target_side(target, k, h, m)
+    span = n - h
+    nxt_t = target[h:]
+    # per step, its target history's rank; per rank, its count and its counts by next symbol
+    _, th_rank, th_tot = np.unique(_history_codes(target, h, n, k, m),
+                                   return_inverse=True, return_counts=True)
+    nxt_th = np.bincount(th_rank * m + nxt_t, minlength=th_tot.size * m).reshape(-1, m)
     sources = iter(sources)
     out = []
     while rows := list(islice(sources, max(1, _BLOCK_CODES // span))):
         block = np.stack(rows, dtype=np.int64)  # Markov null sources arrive as int16
-        row, nxt, th, _, count, ctx_count = _block_cells(target, th_rank, block, h, l, m)
+        # context-major key, so that the cells of one context sit side by side
+        key = (th_rank * m ** l + _history_codes(block, h, n, l, m)) * m + nxt_t
+        key.sort(axis=1)
+        new = np.ones(key.shape, dtype=bool)
+        new[:, 1:] = key[:, 1:] != key[:, :-1]
+        row, col = np.nonzero(new)
+        count = np.diff(row * span + col, append=key.size)
+        ctx, nxt = np.divmod(key[row, col], m)
+        first = np.flatnonzero((col == 0) | (ctx != np.roll(ctx, 1)))
+        ctx_count = np.repeat(np.add.reduceat(count, first), np.diff(first, append=ctx.size))
+        th = ctx // m ** l
         ratio = (count * th_tot[th]) / (ctx_count * nxt_th[th, nxt])
         terms = count * np.fromiter(map(math.log, ratio.tolist()), float, ratio.size)
+        # put each row's cells in ascending joint-code order (next symbol, then the
+        # context); the order moves cells only within a row, so ``row`` stays as it is
+        order = np.argsort(row * m + nxt, kind="stable")
         # bincount, unlike sum, adds each row's terms strictly left to right
-        out.append(np.bincount(row, weights=terms, minlength=len(rows)))
+        out.append(np.bincount(row, weights=terms[order], minlength=len(rows)))
     te = np.concatenate(out) / (span * math.log(log_base))
     if (te < -NEGATIVE_CLAMP).any():
         raise InternalConsistencyError(f"plug-in TE below -{NEGATIVE_CLAMP}: {te.min()}")

@@ -109,6 +109,17 @@ class TestIndex:
         assert payload["error"] == "ParseError"
         assert "mine.txt:3" in payload["message"]
 
+    def test_set_and_keywords_exclude_each_other(self, tmp_path, prepared, capsys):
+        kws = tmp_path / "kw.txt"
+        kws.write_text("Bitcoin\n")
+        for flags in (["--set", "subset3", "--keywords", kws], []):  # both, then neither
+            assert run(["index", *flags, "--input-dir", prepared / "norm",
+                        "--out", tmp_path / "idx", "--json-errors"]) == 2
+            payload = json_error(capsys)
+            assert payload["error"] == "UsageError"
+            assert "--set" in payload["message"] and "--keywords" in payload["message"]
+        assert not (tmp_path / "idx").exists()
+
     def test_custom_keyword_file(self, tmp_path, prepared):
         kws = tmp_path / "gtu.txt"
         kws.write_text("Bitcoin\nBTC\n")
@@ -236,12 +247,13 @@ class TestRunRecord:
         assert not {"block_order", "plot_data"} & record.keys()
 
     def test_repeated_trend_flags_replay_both_files(self, tmp_path):
-        trends = FIXTURES / "trends"
-        assert run(["ingest", "--trend", trends / "BTC.csv", "--trend", trends / "crypto.csv",
-                    "--out", tmp_path / "a"]) == 0
-        assert run(["ingest", "--config", tmp_path / "a" / "ingest_config.txt",
-                    "--out", tmp_path / "b"]) == 0
-        assert sorted(p.name for p in (tmp_path / "b").glob("*.csv")) == ["BTC.csv", "crypto.csv"]
+        trend, other = tmp_path / "b,tc.csv", FIXTURES / "trends" / "crypto.csv"
+        trend.write_bytes((FIXTURES / "trends" / "BTC.csv").read_bytes())
+        assert run(["ingest", "--trend", trend, "--trend", other, "--out", tmp_path / "a"]) == 0
+        record = tmp_path / "a" / "ingest_config.txt"
+        assert read_config_file(record)["trend"] == f'"{trend}",{other}'  # the comma item is quoted
+        assert run(["ingest", "--config", record, "--out", tmp_path / "b"]) == 0
+        assert sorted(p.name for p in (tmp_path / "b").glob("*.csv")) == ["b,tc.csv", "crypto.csv"]
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         config = tmp_path / "run.txt"
@@ -273,15 +285,21 @@ class TestRunRecord:
         assert read_config_file(out / "te_config.txt")["target"] == str(prepared / "vol_parkinson.csv")
 
     def test_explicit_flag_displaces_its_exclusive_group(self, tmp_path, prepared):
-        first, replay, direct = tmp_path / "first", tmp_path / "replay", tmp_path / "direct"
-        assert run(["windows", *replay_commands(prepared)["windows"], "--out", first]) == 0
-        assert run(["windows", "--config", first / "windows_config.txt", "--size", "200",
-                    "--out", replay]) == 0
-        assert "count" not in read_config_file(replay / "windows_config.txt")
-        assert run(["windows", *replay_commands(prepared)["te"], "--size", "200",
-                    "--out", direct]) == 0
-        report = (replay / "windows_report.csv").read_bytes()
-        assert report == (direct / "windows_report.csv").read_bytes()
+        kws = tmp_path / "gtu.txt"
+        kws.write_text("Bitcoin\nBTC\n")
+        recorded = replay_commands(prepared)
+        # command: (explicit flag, recorded key it drops, the other flags, an output to compare)
+        cases = {"windows": (["--size", "200"], "count", recorded["te"], "windows_report.csv"),
+                 "index": (["--keywords", kws], "set", ["--input-dir", prepared / "norm", "--diff"],
+                           "gtu_diff.csv")}
+        for command, (explicit, dropped, rest, output) in cases.items():
+            first, replay, direct = (tmp_path / command / d for d in ("first", "replay", "direct"))
+            assert run([command, *recorded[command], "--out", first]) == 0
+            assert run([command, "--config", first / f"{command}_config.txt", *explicit,
+                        "--out", replay]) == 0
+            assert dropped not in read_config_file(replay / f"{command}_config.txt")
+            assert run([command, *rest, *explicit, "--out", direct]) == 0
+            assert (replay / output).read_bytes() == (direct / output).read_bytes()
 
 
 class TestLagSweepCommand:

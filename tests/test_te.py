@@ -92,12 +92,12 @@ class TestCountTransitions:
         s = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
         small = _transition_counts(t, s, k, l, m)
         threshold = te_mod._SMALL_N
-        te_mod._SMALL_N = -1  # force the encoded/vectorized branch
+        te_mod._SMALL_N = -1  # force the sorted branch
         try:
-            vectorized = _transition_counts(t, s, k, l, m)
+            ordered = _transition_counts(t, s, k, l, m)
         finally:
             te_mod._SMALL_N = threshold
-        assert small == vectorized
+        assert small == ordered
 
 
 class TestTransferEntropy:
@@ -154,8 +154,12 @@ class TestKernel:
         s = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
         perm = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).permutation(n)
         rows = [s, np.zeros(n, dtype=np.int64), s[np.arange(n)], s[perm]]
-        want = [transfer_entropy(count_transitions(sym(t, m), sym(r, m), k, l), 2.0)
-                for r in rows]
+        tables = [count_transitions(sym(t, m), sym(r, m), k, l) for r in rows]
+        for table in tables:  # n - max(k, l) > _SMALL_N, so each table is sorted
+            codes = [sum(c * m ** i for i, c in enumerate((*sh, *th, nxt)))
+                     for nxt, th, sh in table.counts]
+            assert codes == sorted(codes)
+        want = [transfer_entropy(table, 2.0) for table in tables]
         assert _te_rows(t, rows, k, l, m, 2.0).tolist() == want
 
     def test_block_size_does_not_change_results(self, monkeypatch):
@@ -168,7 +172,7 @@ class TestKernel:
 
     def test_widest_encoding_matches_python_loop(self, monkeypatch):
         # m=2, k=l=30 spans 61 bits, the widest joint code _check_pair accepts
-        n = 30 + te_mod._SMALL_N  # the count table below still comes from the Python loop
+        n = 30 + te_mod._SMALL_N  # the count table below keeps its first-seen order
         s = np.zeros(n, dtype=np.int64)
         s[[40, 75]] = 1  # sparse enough that the all-zero target history recurs
         t = np.concatenate([[0], s[:-1]])  # the target copies the source with delay 1
