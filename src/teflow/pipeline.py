@@ -50,7 +50,7 @@ def run_pair(source: DatedSeries, target: DatedSeries, config: TeConfig, *,
     Series are symbolized individually (after any transforms, which the caller
     applies) with the config's quantile cuts. Returns (source->target,
     target->source). A ``null_cache`` lets later calls of the same run reuse
-    the bootstrap nulls (see :class:`NullCache`).
+    the shuffled sources and the bootstrap nulls (see :class:`NullCache`).
     """
     if source.dates != target.dates:
         raise InvariantViolation("run_pair requires date-aligned inputs; call align() first")
@@ -89,8 +89,9 @@ def lag_sweep(source: DatedSeries, target: DatedSeries, config: TeConfig,
     The default interpretation varies both history lengths jointly
     (k = l = lag). ``mode="shift"`` instead keeps k = l = 1 and shifts the
     source back by lag-1 days, as a sensitivity alternative; lag 1 is
-    identical in both modes. With a ``null_cache`` and a pinned
-    ``block_order``, every history-mode lag shares one null set per direction.
+    identical in both modes. With a ``null_cache``, every history-mode lag
+    shares one shuffle set per direction, and with a pinned ``block_order``
+    one null set per direction too.
     """
     lo, hi = int(lag_range[0]), int(lag_range[1])
     if lo < 1 or hi < lo:
@@ -281,9 +282,9 @@ def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries])
     Transforms are applied per series first, then each pair is inner-joined on
     dates. Reports are reproducible bit for bit from (inputs, spec, seed).
     One :class:`NullCache` serves the base rows and lag sweeps of the whole
-    run, so each of their distinct bootstrap nulls is regenerated once.
-    Windows run without it: each symbolizes its own slice, so no two share a
-    null.
+    run, so each of their distinct shuffle sets and bootstrap nulls is drawn
+    once. Windows run without it: each symbolizes its own slice, so no two
+    share a set.
     """
     report = AnalysisReport()
     null_cache = NullCache()

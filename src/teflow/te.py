@@ -200,31 +200,63 @@ def _te_rows(target: np.ndarray, sources: Iterable[np.ndarray],
     n = target.shape[0]
     h = max(k, l)
     span = n - h
-    nxt_t = target[h:]
     # per step, its target history's rank; per rank, its count and its counts by next symbol
     _, th_rank, th_tot = np.unique(_history_codes(target, h, n, k, m),
                                    return_inverse=True, return_counts=True)
-    nxt_th = np.bincount(th_rank * m + nxt_t, minlength=th_tot.size * m).reshape(-1, m)
+    nxt_th = np.bincount(th_rank * m + target[h:], minlength=th_tot.size * m)
+    # a cell that is its context's only cell has the ratio (c * T) / (c * N), which
+    # rounds to the same double as T / N; tabulate its log per (target history, next)
+    solo_log = np.fromiter(map(math.log, (np.repeat(th_tot, m) / np.maximum(nxt_th, 1)).tolist()),
+                           float, nxt_th.size)
+    # per step, the target's part of the context-major key (target history, source
+    # history, next); the keys fit 32 bits at moderate lags, and int32 sorts faster
+    dtype = np.int32 if th_tot.size * m ** (l + 1) < 1 << 31 else np.int64
+    target_key = (th_rank * m ** (l + 1) + target[h:]).astype(dtype)
     sources = iter(sources)
     out = []
     while rows := list(islice(sources, max(1, _BLOCK_CODES // span))):
-        block = np.stack(rows, dtype=np.int64)  # Markov null sources arrive as int16
-        # context-major key, so that the cells of one context sit side by side
-        key = (th_rank * m ** l + _history_codes(block, h, n, l, m)) * m + nxt_t
+        block = np.stack(rows)
+        # source history by Horner's rule, oldest symbol most significant
+        key = block[:, h - l: n - l].astype(dtype)
+        for j in range(l - 1, 0, -1):
+            key *= m
+            key += block[:, h - j: n - j]
+        key *= m
+        key += target_key
         key.sort(axis=1)
-        new = np.ones(key.shape, dtype=bool)
-        new[:, 1:] = key[:, 1:] != key[:, :-1]
-        row, col = np.nonzero(new)
-        count = np.diff(row * span + col, append=key.size)
-        ctx, nxt = np.divmod(key[row, col], m)
-        first = np.flatnonzero((col == 0) | (ctx != np.roll(ctx, 1)))
-        ctx_count = np.repeat(np.add.reduceat(count, first), np.diff(first, append=ctx.size))
-        th = ctx // m ** l
-        ratio = (count * th_tot[th]) / (ctx_count * nxt_th[th, nxt])
-        terms = count * np.fromiter(map(math.log, ratio.tolist()), float, ratio.size)
+        key = key.ravel()
+        # cells: runs of equal keys; each row's first key starts one, whatever precedes it
+        new = np.empty(key.size, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        new[::span] = True
+        start = np.flatnonzero(new)
+        row_first = np.searchsorted(start, np.arange(0, key.size, span))
+        # rows in the narrowest type that holds row * m + next, which the stable
+        # argsort below then sorts by radix
+        row = np.repeat(np.arange(len(rows), dtype=np.min_scalar_type(len(rows) * m)),
+                        np.diff(row_first, append=start.size))
+        ctx, nxt = np.divmod(key[start], m)
+        # contexts: runs of cells with one (target history, source history), split at rows
+        first = np.empty(ctx.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ctx[1:], ctx[:-1], out=first[1:])
+        first[row_first] = True
+        tn = ctx // m ** l * m + nxt  # per cell, its (target history, next) index
+        count = np.diff(start, append=key.size)
+        terms = count * solo_log[tn]
+        # cells that share their context: runs of them make up each such context
+        lone = first.copy()
+        lone[:-1] &= first[1:]
+        mixed = np.flatnonzero(~lone)
+        c, tn = count[mixed], tn[mixed]
+        shared = np.flatnonzero(first[mixed])
+        ctx_count = np.repeat(np.add.reduceat(c, shared), np.diff(shared, append=mixed.size))
+        ratio = (c * th_tot[tn // m]) / (ctx_count * nxt_th[tn])
+        terms[mixed] = c * np.fromiter(map(math.log, ratio.tolist()), float, mixed.size)
         # put each row's cells in ascending joint-code order (next symbol, then the
         # context); the order moves cells only within a row, so ``row`` stays as it is
-        order = np.argsort(row * m + nxt, kind="stable")
+        order = np.argsort(row * m + nxt.astype(row.dtype), kind="stable")
         # bincount, unlike sum, adds each row's terms strictly left to right
         out.append(np.bincount(row, weights=terms[order], minlength=len(rows)))
     te = np.concatenate(out) / (span * math.log(log_base))
@@ -295,37 +327,56 @@ def transfer_entropy(counts: JointCounts, log_base: float = 2.0) -> float:
     return te
 
 
+def _shuffled_sources(source: np.ndarray, m: int, n_reps: int, seed: int) -> np.ndarray:
+    """The source under ``n_reps`` uniform permutations, one row each.
+
+    Each row's permutation comes from its own substream of ``seed``, so a row
+    does not depend on how many are drawn.
+    """
+    n = source.shape[0]
+    out = np.empty((n_reps, n), dtype=np.min_scalar_type(m - 1))
+    for i in range(n_reps):
+        out[i] = source[substream(seed, _DOMAIN_SHUFFLE, i).permutation(n)]
+    return out
+
+
 def shuffle_surrogate_te(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
-                         permutations: Sequence[np.ndarray] | None = None) -> np.ndarray:
+                         permutations: Sequence[np.ndarray] | None = None, *,
+                         null_cache: NullCache | None = None) -> np.ndarray:
     """TE values after independent uniform permutations of the source symbols.
 
     The target is never touched. Each replication's permutation comes from its
     own substream of config.seed, so the returned vector does not depend on
-    how the replications are batched. ``permutations`` overrides the drawn
-    permutations (test hook, e.g. a forced identity permutation).
+    how the replications are batched. A ``null_cache`` reuses the shuffled
+    sources of an earlier call of the same run. ``permutations`` overrides
+    the drawn permutations (test hook, e.g. a forced identity permutation).
     """
     m = _check_pair(target, source, config.k, config.l)
     s = source.symbols
     if permutations is None:
-        permutations = (substream(config.seed, _DOMAIN_SHUFFLE, i).permutation(len(s))
-                        for i in range(config.n_shuffles))
+        draw = _shuffled_sources if null_cache is None else null_cache.shuffles
+        rows = draw(s, m, config.n_shuffles, config.seed)
     elif len(permutations) == 0:
         raise ConfigError("need at least one permutation")
-    return _te_rows(target.symbols, (s[p] for p in permutations),
-                    config.k, config.l, m, config.log_base)
+    else:
+        rows = (s[p] for p in permutations)
+    return _te_rows(target.symbols, rows, config.k, config.l, m, config.log_base)
 
 
 def effective_transfer_entropy(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
-                               direction: str = "source->target") -> TeEstimate:
+                               direction: str = "source->target", *,
+                               null_cache: NullCache | None = None) -> TeEstimate:
     """Shuffle-corrected transfer entropy: raw TE minus the mean surrogate TE.
 
     Inference fields (std_err, p_value) are left absent; see
-    :func:`bootstrap_inference` or :func:`estimate`.
+    :func:`bootstrap_inference` or :func:`estimate`. A ``null_cache`` reuses
+    the shuffled sources of an earlier call of the same run.
     """
     m = _check_pair(target, source, config.k, config.l)
     te = float(_te_rows(target.symbols, [source.symbols], config.k, config.l, m,
                         config.log_base)[0])
-    surrogate_mean = float(shuffle_surrogate_te(target, source, config).mean())
+    surrogate_mean = float(shuffle_surrogate_te(target, source, config,
+                                                null_cache=null_cache).mean())
     return TeEstimate(direction=direction, te=te, ete=te - surrogate_mean,
                       surrogate_mean=surrogate_mean, std_err=None, p_value=None,
                       n_effective=len(target) - max(config.k, config.l), config=config)
@@ -356,8 +407,7 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
     cum[visited] = np.cumsum(table[visited] / row_tot[visited, None], axis=1)
     cum[visited, -1] = 1.0  # exact upper bound regardless of rounding
 
-    # m <= 4096 by the check above, so int16 holds every symbol at a quarter of the memory
-    out = np.empty((n_reps, n), dtype=np.int16)
+    out = np.empty((n_reps, n), dtype=np.min_scalar_type(m - 1))
     states = np.empty(n_reps, dtype=np.int64)
     rngs = []
     for i in range(n_reps):
@@ -386,28 +436,40 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
 
 
 class NullCache:
-    """The Markov-bootstrap null sources of one run, reused on an exact match.
+    """The shuffled and Markov-bootstrap null sources of one run, reused on an exact match.
 
-    A set is keyed by (sha256 of the source symbols, alphabet size, block
-    order, replication count, seed) and reused only when the whole key
-    matches, so reuse cannot change a result. One set is held per seed, and a
-    new key for that seed replaces it: a run derives one seed per direction,
-    so it holds one set per direction. Held arrays are read-only.
+    A set is keyed by the sha256 of the source symbols, the alphabet size, the
+    replication count and the seed, plus the block order for Markov nulls,
+    and is reused only when the whole key matches, so reuse cannot change a
+    result. Per kind, one set is held per seed, and a new key for that seed
+    replaces it: a run derives one seed per direction, so it holds one
+    shuffle set and one null set per direction. Held arrays are read-only.
     """
 
     def __init__(self):
         self._sets: dict[int, tuple[tuple, np.ndarray]] = {}
+        self._shuffles: dict[int, tuple[tuple, np.ndarray]] = {}
 
     def sources(self, source: np.ndarray, m: int, order: int, n_reps: int,
                 seed: int) -> np.ndarray:
         """The null sources :func:`_markov_null_sources` gives for these arguments."""
-        key = (hashlib.sha256(source.tobytes()).digest(), m, order, n_reps, seed)
-        held = self._sets.get(seed)
+        return self._held(self._sets, _markov_null_sources, source, m, order, n_reps, seed)
+
+    def shuffles(self, source: np.ndarray, m: int, n_reps: int, seed: int) -> np.ndarray:
+        """The shuffled sources :func:`_shuffled_sources` gives for these arguments."""
+        return self._held(self._shuffles, _shuffled_sources, source, m, n_reps, seed)
+
+    @staticmethod
+    def _held(store: dict, draw, source: np.ndarray, *args) -> np.ndarray:
+        """``draw(source, *args)``, drawn once per key; ``args`` ends with the seed."""
+        seed = args[-1]
+        key = (hashlib.sha256(source.tobytes()).digest(), *args)
+        held = store.get(seed)
         if held is None or held[0] != key:
-            self._sets.pop(seed, None)  # free the old set before drawing its replacement
-            nulls = _markov_null_sources(source, m, order, n_reps, seed)
-            nulls.flags.writeable = False
-            held = self._sets[seed] = (key, nulls)
+            store.pop(seed, None)  # free the old set before drawing its replacement
+            rows = draw(source, *args)
+            rows.flags.writeable = False
+            held = store[seed] = (key, rows)
         return held[1]
 
 
@@ -441,7 +503,8 @@ def estimate(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
              direction: str = "source->target", *,
              null_cache: NullCache | None = None) -> TeEstimate:
     """Full directional estimate: TE, ETE, and bootstrap inference in one record."""
-    est = effective_transfer_entropy(target, source, config, direction=direction)
+    est = effective_transfer_entropy(target, source, config, direction=direction,
+                                     null_cache=null_cache)
     std_err, p_value = bootstrap_inference(target, source, config, observed_te=est.te,
                                            null_cache=null_cache)
     return replace(est, std_err=std_err, p_value=p_value)

@@ -177,20 +177,29 @@ class TestLagSweep:
 
 @pytest.mark.filterwarnings("ignore::teflow.errors.LagTooLargeForSample")
 class TestNullReuse:
-    """A NullCache regenerates each distinct Markov null once, and changes no result."""
+    """A NullCache draws each distinct shuffle set and Markov null once, and changes
+    no result."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Per call of te.<name>: the array it returned."""
+        calls = []
+        draw = getattr(te_mod, name)
+
+        def counted(*args):
+            calls.append(draw(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(te_mod, name, counted)
+        return calls
 
     @pytest.fixture
     def regenerations(self, monkeypatch):
-        """Per call of te._markov_null_sources: the array it returned."""
-        calls = []
-        regenerate = te_mod._markov_null_sources
+        return self.counted(monkeypatch, "_markov_null_sources")
 
-        def counted(*args):
-            calls.append(regenerate(*args))
-            return calls[-1]
-
-        monkeypatch.setattr(te_mod, "_markov_null_sources", counted)
-        return calls
+    @pytest.fixture
+    def shuffles(self, monkeypatch):
+        return self.counted(monkeypatch, "_shuffled_sources")
 
     def sweep(self, cfg, cache):
         src, tgt = synthetic_pair(2000, 20)
@@ -216,6 +225,19 @@ class TestNullReuse:
     def test_held_nulls_are_read_only(self, regenerations):
         self.sweep(replace(FAST, block_order=1), NullCache())
         assert regenerations and not any(a.flags.writeable for a in regenerations)
+
+    def test_sweep_draws_each_direction_shuffle_set_once(self, shuffles):
+        cache = NullCache()
+        cfg = replace(FAST, block_order=1)
+        src, tgt, curves = self.sweep(cfg, cache)
+        assert len(shuffles) == 2
+        assert all(held is drawn for (_, held), drawn in zip(cache._shuffles.values(), shuffles))
+        assert not any(a.flags.writeable for a in shuffles)
+        for lag in range(1, 9):
+            fwd, bwd = run_pair(src, tgt, replace(cfg, k=lag, l=lag))
+            assert curves["x->y"][lag - 1] == (lag, fwd)
+            assert curves["y->x"][lag - 1] == (lag, bwd)
+        assert len(shuffles) == 2 + 16  # without a cache, every call draws
 
     def test_run_analysis_reuses_only_identical_nulls(self, regenerations):
         src, tgt = synthetic_pair(400, 21)

@@ -162,6 +162,50 @@ class TestKernel:
         want = [transfer_entropy(table, 2.0) for table in tables]
         assert _te_rows(t, rows, k, l, m, 2.0).tolist() == want
 
+    @pytest.mark.parametrize("lag", range(1, 9))
+    def test_rows_equal_count_table_te_exactly_at_bench_scale(self, lag):
+        # skewed symbols at n = 2300 fill lag 8's contexts with many cells of
+        # one or several next symbols, which the small drawn pairs above never reach
+        rng = np.random.default_rng(lag)
+        t, s = rng.choice(3, size=(2, 2300), p=[0.05, 0.9, 0.05])
+        rows = [s, *(s[rng.permutation(2300)] for _ in range(2)),
+                *te_mod._markov_null_sources(s, 3, 1, 2, seed=lag)]
+        want = [transfer_entropy(count_transitions(sym(t, 3), sym(r, 3), lag, lag)) for r in rows]
+        assert _te_rows(t, rows, lag, lag, 3, 2.0).tolist() == want
+
+    def test_rows_split_where_keys_meet_across_rows(self):
+        # the target's history never changes, so each key is 3 * source + next:
+        # row a ends on key 4 (source 1, next 1) and row b starts on it
+        n = 100
+        t = np.zeros(n, dtype=np.int64)
+        t[-1] = 1
+        a = np.ones(n, dtype=np.int64)
+        b = np.full(n, 2, dtype=np.int64)
+        b[-2] = 1
+        constant = np.zeros(n, dtype=np.int64)
+        rows = [a, b, a, b, constant, constant, constant]
+        solo = [_te_rows(t, [r], 1, 1, 3, 2.0)[0] for r in rows]
+        assert solo[1] > 0.0
+        assert _te_rows(t, rows, 1, 1, 3, 2.0).tolist() == solo
+        assert solo == [transfer_entropy(count_transitions(sym(t, 3), sym(r, 3), 1, 1))
+                        for r in rows]
+
+    @pytest.mark.parametrize("histories", [3, 4])
+    def test_key_width_switch_matches_count_table(self, histories):
+        # m=2, k=2, l=28: keys span histories * 2**29 codes, so 3 target
+        # histories fit 32-bit keys and 4 need 64-bit ones
+        rng = np.random.default_rng(histories)
+        s = rng.integers(0, 2, 200)
+        if histories == 3:
+            s[1:] &= 1 - s[:-1]  # no two ones in a row, so the history (1, 1) never occurs
+        t = np.concatenate([[0], s[:-1]])  # the target copies the source with delay 1
+        seen = {tuple(t[i - 2: i]) for i in range(28, 200)}
+        assert len(seen) == histories
+        rows = [s, s[rng.permutation(200)]]
+        want = [transfer_entropy(count_transitions(sym(t), sym(r), 2, 28)) for r in rows]
+        assert want[0] > 0.0
+        assert _te_rows(t, rows, 2, 28, 2, 2.0).tolist() == want
+
     def test_block_size_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(3)
         t = rng.integers(0, 3, 500)
