@@ -88,7 +88,7 @@ def log_returns(series: OhlcSeries) -> DatedSeries:
         raise SeriesTooShort("log returns need at least 2 bars")
     closes = series.column("close")
     values = np.log(closes[1:] / closes[:-1])
-    return DatedSeries(dates=series.dates[1:], values=values, label="return", units="log return")
+    return DatedSeries(dates=series.dates[1:], values=values, label="return")
 
 
 def parkinson_values(high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -107,12 +107,11 @@ def garman_klass_values(open_: np.ndarray, high: np.ndarray,
 def parkinson_volatility(series: OhlcSeries) -> DatedSeries:
     """Per-day high-low range volatility; same dates as the input bars."""
     values = parkinson_values(series.column("high"), series.column("low"))
-    return DatedSeries(dates=series.dates, values=values, label="volatility", units="daily sigma")
+    return DatedSeries(dates=series.dates, values=values, label="volatility")
 
 
 def garman_klass_volatility(series: OhlcSeries) -> DatedSeries:
     """Per-day range+body volatility; impossible bars are flagged missing, not dropped."""
     values = garman_klass_values(series.column("open"), series.column("high"),
                                  series.column("low"), series.column("close"))
-    return DatedSeries(dates=series.dates, values=values, label="volatility_gk",
-                       units="daily sigma", allow_missing=True)
+    return DatedSeries(dates=series.dates, values=values, label="volatility_gk", allow_missing=True)

@@ -30,7 +30,6 @@ class DatedSeries:
     dates: tuple[date, ...]
     values: np.ndarray
     label: str = ""
-    units: str = ""
     allow_missing: bool = False
 
     def __post_init__(self):
@@ -65,11 +64,11 @@ class DatedSeries:
                   ([d.isoformat(), format_value(v)] for d, v in zip(self.dates, self.values)))
 
     @classmethod
-    def from_pairs(cls, pairs, label: str = "", units: str = "", allow_missing: bool = False) -> "DatedSeries":
+    def from_pairs(cls, pairs, label: str = "", allow_missing: bool = False) -> "DatedSeries":
         pairs = list(pairs)
         dates = tuple(p[0] for p in pairs)
         values = np.array([p[1] for p in pairs], dtype=float)
-        return cls(dates=dates, values=values, label=label, units=units, allow_missing=allow_missing)
+        return cls(dates=dates, values=values, label=label, allow_missing=allow_missing)
 
 
 def read_text(path) -> str:

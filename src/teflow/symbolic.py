@@ -36,7 +36,6 @@ class SymbolSeries:
     symbols: np.ndarray
     alphabet_size: int
     bin_edges: np.ndarray
-    source_length: int
     degenerate: bool = False
 
     def __post_init__(self):
@@ -50,13 +49,11 @@ class SymbolSeries:
             raise ConfigError("bin_edges must have alphabet_size - 1 entries")
         if edges.shape[0] > 1 and not np.all(np.diff(edges) > 0):
             raise ConfigError("bin_edges must be strictly ascending")
-        if syms.shape[0] != self.source_length:
-            raise ConfigError("symbols length must equal source_length")
         if syms.size and (syms.min() < 0 or syms.max() >= self.alphabet_size):
             raise ConfigError("symbols must lie in [0, alphabet_size)")
 
     def __len__(self) -> int:
-        return self.source_length
+        return len(self.symbols)
 
     @classmethod
     def from_symbols(cls, symbols, alphabet_size: int | None = None) -> "SymbolSeries":
@@ -67,8 +64,7 @@ class SymbolSeries:
         syms = np.asarray(symbols, dtype=np.int64)
         m = int(alphabet_size) if alphabet_size is not None else int(syms.max()) + 1 if syms.size else 1
         edges = np.arange(m - 1, dtype=float) + 0.5
-        return cls(symbols=syms, alphabet_size=m, bin_edges=edges,
-                   source_length=syms.shape[0], degenerate=(m == 1))
+        return cls(symbols=syms, alphabet_size=m, bin_edges=edges, degenerate=(m == 1))
 
 
 def symbolize(series: DatedSeries | Sequence[float] | np.ndarray,
@@ -93,13 +89,11 @@ def symbolize(series: DatedSeries | Sequence[float] | np.ndarray,
         warnings.warn("series has no variation; returning single-symbol series",
                       DegenerateSeriesWarning, stacklevel=2)
         return SymbolSeries(symbols=np.zeros(values.shape[0], dtype=np.int64),
-                            alphabet_size=1, bin_edges=np.empty(0),
-                            source_length=values.shape[0], degenerate=True)
+                            alphabet_size=1, bin_edges=np.empty(0), degenerate=True)
 
     edges = np.quantile(values, cuts)
     # heavy ties can collapse neighbouring quantiles; keep edges strictly ascending
     edges = np.unique(edges)
     symbols = np.searchsorted(edges, values, side="left")
     return SymbolSeries(symbols=symbols.astype(np.int64),
-                        alphabet_size=edges.shape[0] + 1,
-                        bin_edges=edges, source_length=values.shape[0])
+                        alphabet_size=edges.shape[0] + 1, bin_edges=edges)

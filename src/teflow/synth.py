@@ -203,12 +203,7 @@ def population_te(spec: ProcessSpec, k: int = 1, l: int = 1, log_base: float = 2
         raise NoClosedForm("joint window enumeration too large for exact summation")
 
     # joint chain transition: P[(x,y) -> (x',y')] = A[x,x'] * B[y,x,y']
-    trans = np.zeros((n_states, n_states))
-    for x in range(m_x):
-        for y in range(m_y):
-            for x2 in range(m_x):
-                for y2 in range(m_y):
-                    trans[x * m_y + y, x2 * m_y + y2] = a[x, x2] * b[y, x, y2]
+    trans = (a[:, None, :, None] * b.transpose(1, 0, 2)[:, :, None, :]).reshape(n_states, n_states)
     pi = _stationary(trans)
 
     joint: dict = {}

@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -154,16 +153,21 @@ class JointCounts:
         return sum(self.counts.values())
 
 
-def _history_codes(arr: np.ndarray, offset: int, n: int, depth: int, m: int) -> np.ndarray:
-    """Base-m codes of the ``depth`` symbols before each step, per row of ``arr``."""
-    codes = np.zeros(arr.shape[:-1] + (n - offset,), dtype=np.int64)
-    for j in range(1, depth + 1):
-        codes += arr[..., offset - j: n - j] * m ** (j - 1)
+def _history_codes(arr: np.ndarray, offset: int, n: int, depth: int, m: int,
+                   dtype=np.int64) -> np.ndarray:
+    """Base-m codes of the ``depth`` symbols before each step from ``offset``, per row of ``arr``.
+
+    Built by Horner's rule in ``dtype``, the oldest symbol most significant.
+    """
+    codes = arr[..., offset - depth: n - depth].astype(dtype)
+    for j in range(depth - 1, 0, -1):
+        codes *= m
+        codes += arr[..., offset - j: n - j]
     return codes
 
 
 def _transition_counts(target: np.ndarray, source: np.ndarray,
-                       k: int, l: int, m: int) -> dict[CountKey, int]:
+                       k: int, l: int) -> dict[CountKey, int]:
     n = target.shape[0]
     h = max(k, l)
     counts: dict[CountKey, int] = {}
@@ -188,14 +192,14 @@ def _transition_counts(target: np.ndarray, source: np.ndarray,
     return dict(sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1][::-1], kv[0][2][::-1])))
 
 
-def _te_rows(target: np.ndarray, sources: Iterable[np.ndarray],
+def _te_rows(target: np.ndarray, sources: np.ndarray,
              k: int, l: int, m: int, log_base: float) -> np.ndarray:
-    """Plug-in TE of ``target`` against each source row, in order.
+    """Plug-in TE of ``target`` against each row of the ``(R, n)`` array ``sources``.
 
     Bit for bit what :func:`transfer_entropy` gives on the row's cells taken
     in ascending joint-code order: ratios from exact integer products, logs
-    from ``math.log`` and each row summed left to right. Rows are drawn from
-    ``sources`` one block at a time, so a lazy iterable is never held whole.
+    from ``math.log`` and each row summed left to right. Rows are keyed and
+    sorted one block of views at a time, which bounds the working memory.
     """
     n = target.shape[0]
     h = max(k, l)
@@ -212,15 +216,12 @@ def _te_rows(target: np.ndarray, sources: Iterable[np.ndarray],
     # history, next); the keys fit 32 bits at moderate lags, and int32 sorts faster
     dtype = np.int32 if th_tot.size * m ** (l + 1) < 1 << 31 else np.int64
     target_key = (th_rank * m ** (l + 1) + target[h:]).astype(dtype)
-    sources = iter(sources)
+    sources = np.asarray(sources)
+    step = max(1, _BLOCK_CODES // span)
     out = []
-    while rows := list(islice(sources, max(1, _BLOCK_CODES // span))):
-        block = np.stack(rows)
-        # source history by Horner's rule, oldest symbol most significant
-        key = block[:, h - l: n - l].astype(dtype)
-        for j in range(l - 1, 0, -1):
-            key *= m
-            key += block[:, h - j: n - j]
+    for lo in range(0, sources.shape[0], step):
+        block = sources[lo: lo + step]
+        key = _history_codes(block, h, n, l, m, dtype)
         key *= m
         key += target_key
         key.sort(axis=1)
@@ -234,7 +235,7 @@ def _te_rows(target: np.ndarray, sources: Iterable[np.ndarray],
         row_first = np.searchsorted(start, np.arange(0, key.size, span))
         # rows in the narrowest type that holds row * m + next, which the stable
         # argsort below then sorts by radix
-        row = np.repeat(np.arange(len(rows), dtype=np.min_scalar_type(len(rows) * m)),
+        row = np.repeat(np.arange(len(block), dtype=np.min_scalar_type(len(block) * m)),
                         np.diff(row_first, append=start.size))
         ctx, nxt = np.divmod(key[start], m)
         # contexts: runs of cells with one (target history, source history), split at rows
@@ -258,7 +259,7 @@ def _te_rows(target: np.ndarray, sources: Iterable[np.ndarray],
         # context); the order moves cells only within a row, so ``row`` stays as it is
         order = np.argsort(row * m + nxt.astype(row.dtype), kind="stable")
         # bincount, unlike sum, adds each row's terms strictly left to right
-        out.append(np.bincount(row, weights=terms[order], minlength=len(rows)))
+        out.append(np.bincount(row, weights=terms[order], minlength=len(block)))
     te = np.concatenate(out) / (span * math.log(log_base))
     if (te < -NEGATIVE_CLAMP).any():
         raise InternalConsistencyError(f"plug-in TE below -{NEGATIVE_CLAMP}: {te.min()}")
@@ -286,7 +287,7 @@ def count_transitions(target: SymbolSeries, source: SymbolSeries, k: int, l: int
     if k < 1 or l < 1:
         raise ConfigError("history lengths k and l must be >= 1")
     m = _check_pair(target, source, k, l)
-    counts = _transition_counts(np.asarray(target.symbols), np.asarray(source.symbols), k, l, m)
+    counts = _transition_counts(np.asarray(target.symbols), np.asarray(source.symbols), k, l)
     return JointCounts(counts=counts, k=k, l=l, alphabet_size=m)
 
 
@@ -340,26 +341,19 @@ def _shuffled_sources(source: np.ndarray, m: int, n_reps: int, seed: int) -> np.
     return out
 
 
-def shuffle_surrogate_te(target: SymbolSeries, source: SymbolSeries, config: TeConfig,
-                         permutations: Sequence[np.ndarray] | None = None, *,
+def shuffle_surrogate_te(target: SymbolSeries, source: SymbolSeries, config: TeConfig, *,
                          null_cache: NullCache | None = None) -> np.ndarray:
     """TE values after independent uniform permutations of the source symbols.
 
     The target is never touched. Each replication's permutation comes from its
     own substream of config.seed, so the returned vector does not depend on
     how the replications are batched. A ``null_cache`` reuses the shuffled
-    sources of an earlier call of the same run. ``permutations`` overrides
-    the drawn permutations (test hook, e.g. a forced identity permutation).
+    sources of an earlier call of the same run.
     """
     m = _check_pair(target, source, config.k, config.l)
-    s = source.symbols
-    if permutations is None:
-        draw = _shuffled_sources if null_cache is None else null_cache.shuffles
-        rows = draw(s, m, config.n_shuffles, config.seed)
-    elif len(permutations) == 0:
-        raise ConfigError("need at least one permutation")
-    else:
-        rows = (s[p] for p in permutations)
+    args = (source.symbols, m, config.n_shuffles, config.seed)
+    rows = (_shuffled_sources(*args) if null_cache is None
+            else null_cache.draw(_shuffled_sources, *args))
     return _te_rows(target.symbols, rows, config.k, config.l, m, config.log_base)
 
 
@@ -373,7 +367,7 @@ def effective_transfer_entropy(target: SymbolSeries, source: SymbolSeries, confi
     the shuffled sources of an earlier call of the same run.
     """
     m = _check_pair(target, source, config.k, config.l)
-    te = float(_te_rows(target.symbols, [source.symbols], config.k, config.l, m,
+    te = float(_te_rows(target.symbols, source.symbols[None], config.k, config.l, m,
                         config.log_base)[0])
     surrogate_mean = float(shuffle_surrogate_te(target, source, config,
                                                 null_cache=null_cache).mean())
@@ -438,38 +432,28 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
 class NullCache:
     """The shuffled and Markov-bootstrap null sources of one run, reused on an exact match.
 
-    A set is keyed by the sha256 of the source symbols, the alphabet size, the
-    replication count and the seed, plus the block order for Markov nulls,
-    and is reused only when the whole key matches, so reuse cannot change a
-    result. Per kind, one set is held per seed, and a new key for that seed
-    replaces it: a run derives one seed per direction, so it holds one
-    shuffle set and one null set per direction. Held arrays are read-only.
+    A set is keyed by the sha256 of the source symbols and the draw function's
+    other arguments (alphabet size, replication count, seed, and the block
+    order for Markov nulls), and is reused only when the whole key matches, so
+    reuse cannot change a result. One set is held per (draw function, seed),
+    and a new key for that slot replaces it: a run derives one seed per
+    direction, so it holds one shuffle set and one null set per direction.
+    Held arrays are read-only.
     """
 
     def __init__(self):
-        self._sets: dict[int, tuple[tuple, np.ndarray]] = {}
-        self._shuffles: dict[int, tuple[tuple, np.ndarray]] = {}
+        self._store: dict[tuple, tuple[tuple, np.ndarray]] = {}
 
-    def sources(self, source: np.ndarray, m: int, order: int, n_reps: int,
-                seed: int) -> np.ndarray:
-        """The null sources :func:`_markov_null_sources` gives for these arguments."""
-        return self._held(self._sets, _markov_null_sources, source, m, order, n_reps, seed)
-
-    def shuffles(self, source: np.ndarray, m: int, n_reps: int, seed: int) -> np.ndarray:
-        """The shuffled sources :func:`_shuffled_sources` gives for these arguments."""
-        return self._held(self._shuffles, _shuffled_sources, source, m, n_reps, seed)
-
-    @staticmethod
-    def _held(store: dict, draw, source: np.ndarray, *args) -> np.ndarray:
+    def draw(self, draw, source: np.ndarray, *args) -> np.ndarray:
         """``draw(source, *args)``, drawn once per key; ``args`` ends with the seed."""
-        seed = args[-1]
+        slot = (draw, args[-1])
         key = (hashlib.sha256(source.tobytes()).digest(), *args)
-        held = store.get(seed)
+        held = self._store.get(slot)
         if held is None or held[0] != key:
-            store.pop(seed, None)  # free the old set before drawing its replacement
+            self._store.pop(slot, None)  # free the old set before drawing its replacement
             rows = draw(source, *args)
             rows.flags.writeable = False
-            held = store[seed] = (key, rows)
+            held = self._store[slot] = (key, rows)
         return held[1]
 
 
@@ -490,9 +474,10 @@ def bootstrap_inference(target: SymbolSeries, source: SymbolSeries, config: TeCo
     m = _check_pair(target, source, config.k, config.l)
     t, s = target.symbols, source.symbols
     if observed_te is None:
-        observed_te = float(_te_rows(t, [s], config.k, config.l, m, config.log_base)[0])
-    regenerate = _markov_null_sources if null_cache is None else null_cache.sources
-    nulls_src = regenerate(s, m, config.effective_block_order, config.n_bootstrap, config.seed)
+        observed_te = float(_te_rows(t, s[None], config.k, config.l, m, config.log_base)[0])
+    args = (s, m, config.effective_block_order, config.n_bootstrap, config.seed)
+    nulls_src = (_markov_null_sources(*args) if null_cache is None
+                 else null_cache.draw(_markov_null_sources, *args))
     null_tes = _te_rows(t, nulls_src, config.k, config.l, m, config.log_base)
     std_err = float(null_tes.std(ddof=1)) if config.n_bootstrap > 1 else 0.0
     p_value = float(np.count_nonzero(null_tes >= observed_te) / config.n_bootstrap)

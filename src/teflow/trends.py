@@ -104,8 +104,7 @@ def build_composite(series_by_keyword: dict[str, DatedSeries], keyword_set: Keyw
     dates = sorted(per_date)
     values = np.array([math.fsum(per_date[d]) / len(per_date[d]) for d in dates])
     coverage = tuple(len(per_date[d]) for d in dates)
-    levels = DatedSeries(dates=tuple(dates), values=values,
-                         label=keyword_set.name, units="attention index [0,100]")
+    levels = DatedSeries(dates=tuple(dates), values=values, label=keyword_set.name)
     return CompositeIndex(levels=levels, constituents=keyword_set, coverage=coverage)
 
 
@@ -115,4 +114,4 @@ def first_difference(series: DatedSeries) -> DatedSeries:
         raise SeriesTooShort("first difference needs at least 2 observations")
     values = np.diff(series.values)
     label = f"{series.label}_diff" if series.label else "diff"
-    return DatedSeries(dates=series.dates[1:], values=values, label=label, units=series.units)
+    return DatedSeries(dates=series.dates[1:], values=values, label=label)

@@ -193,6 +193,12 @@ class TestNullReuse:
         monkeypatch.setattr(te_mod, name, counted)
         return calls
 
+    @staticmethod
+    def held(cache, name):
+        """The sets the cache holds for te.<name>, in the order they were stored."""
+        draw = getattr(te_mod, name)
+        return [rows for (fn, _), (_, rows) in cache._store.items() if fn is draw]
+
     @pytest.fixture
     def regenerations(self, monkeypatch):
         return self.counted(monkeypatch, "_markov_null_sources")
@@ -218,9 +224,10 @@ class TestNullReuse:
         cache = NullCache()
         self.sweep(FAST, cache)
         assert len(regenerations) == 16  # order = lag, so no two lags share a null
-        assert len(cache._sets) == 2
+        nulls = self.held(cache, "_markov_null_sources")
+        assert len(nulls) == 2
         # each new key replaced its seed's set, so only the last lag's two are held
-        assert all(held is drawn for (_, held), drawn in zip(cache._sets.values(), regenerations[-2:]))
+        assert all(held is drawn for held, drawn in zip(nulls, regenerations[-2:]))
 
     def test_held_nulls_are_read_only(self, regenerations):
         self.sweep(replace(FAST, block_order=1), NullCache())
@@ -231,7 +238,8 @@ class TestNullReuse:
         cfg = replace(FAST, block_order=1)
         src, tgt, curves = self.sweep(cfg, cache)
         assert len(shuffles) == 2
-        assert all(held is drawn for (_, held), drawn in zip(cache._shuffles.values(), shuffles))
+        assert all(held is drawn
+                   for held, drawn in zip(self.held(cache, "_shuffled_sources"), shuffles))
         assert not any(a.flags.writeable for a in shuffles)
         for lag in range(1, 9):
             fwd, bwd = run_pair(src, tgt, replace(cfg, k=lag, l=lag))
