@@ -42,7 +42,7 @@ _BLOCK_CODES = 1 << 15
 
 # time steps of Markov-null uniforms drawn at once; bounds their memory to
 # _NULL_CHUNK x n_bootstrap doubles
-_NULL_CHUNK = 1024
+_NULL_CHUNK = 512
 
 Pattern = tuple[int, ...]
 CountKey = tuple[int, Pattern, Pattern]
@@ -376,15 +376,93 @@ def effective_transfer_entropy(target: SymbolSeries, source: SymbolSeries, confi
                       n_effective=len(target) - max(config.k, config.l), config=config)
 
 
+def _draw(u: np.ndarray, cuts: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The symbol each uniform in ``u`` draws from its state: how many of the state's cuts lie below it."""
+    drawn = (u > cuts[0][states]).astype(np.intp)
+    for cut in cuts[1:]:
+        drawn += u > cut[states]
+    return drawn
+
+
+def _draw_stepwise(out: np.ndarray, lo: int, uniforms: np.ndarray, cuts: np.ndarray,
+                   order: int) -> None:
+    """Write the chunk of every chain from step ``lo`` one time step at a time."""
+    m = cuts.shape[0] + 1
+    carry = m ** (order - 1)
+    states = _history_codes(out, lo, lo + 1, order, m)[:, 0]
+    for t, u in enumerate(np.ascontiguousarray(uniforms.T), lo):
+        drawn = _draw(u, cuts, states)
+        out[:, t] = drawn
+        states = drawn + m * (states % carry)
+
+
+def _draw_in_rounds(out: np.ndarray, lo: int, uniforms: np.ndarray, cuts: np.ndarray,
+                    order: int, upper: np.ndarray, lower: np.ndarray) -> None:
+    """Write the chunk of every chain from step ``lo``: fixed steps at once, open steps in rounds."""
+    m = cuts.shape[0] + 1
+    width = uniforms.shape[1]
+    fixed = np.zeros(uniforms.shape, out.dtype)
+    above_lower = np.zeros(uniforms.shape, out.dtype)
+    for up, low in zip(upper, lower):
+        fixed += uniforms > up
+        above_lower += uniforms > low
+    out[:, lo: lo + width] = fixed
+    # open: lower[j] < u <= upper[j] for some cut j
+    idx = np.int32 if out.size < 1 << 31 else np.int64
+    row, col = np.divmod(np.flatnonzero(fixed != above_lower).astype(idx), width)
+    del fixed, above_lower
+    u = uniforms[row, col]
+    pos = row * out.shape[1] + col + lo  # into out.ravel(), where each chain's steps are in order
+    del row, col
+    # an open step waits for the open step before it when that is one of its
+    # ``order`` predecessors; the trailing False ends the last chain
+    waits = np.zeros(pos.size + 1, dtype=bool)
+    np.less_equal(np.diff(pos), order, out=waits[1:-1])
+    flat = out.reshape(-1)
+    ready = np.flatnonzero(~waits[:-1])
+    while ready.size:
+        p = pos[ready]
+        state = flat[p - order].astype(np.intp)
+        for j in range(order - 1, 0, -1):
+            state *= m
+            state += flat[p - j]
+        flat[p] = _draw(u[ready], cuts, state)
+        ready += 1
+        ready = ready[waits[ready]]
+
+
 def _markov_null_sources(source: np.ndarray, m: int, order: int,
                          n_reps: int, seed: int) -> np.ndarray:
     """Regenerate the source ``n_reps`` times from its own order-q transition table.
 
     Preserves the source's dynamics while breaking any cross-coupling to the
-    target. All replications evolve jointly (vectorized across chains), each
-    driven by uniforms from its own substream. The uniforms are drawn
+    target. Each replication is a chain driven by uniforms from its own
+    substream. Row s of the cumulative transition table gives state s its
+    cuts ``cuts[j, s]`` = P(next symbol <= j | s) for j < m - 1, and a uniform
+    u draws the number of cuts below it (the last cumulative value, 1, never
+    lies below a uniform in [0, 1), so it is left out). The uniforms are drawn
     ``_NULL_CHUNK`` steps at a time; successive draws from one generator give
     the same doubles as a single draw of their total length.
+
+    Per cut j, ``upper[j]`` and ``lower[j]`` are the largest and smallest
+    ``cuts[j, s]`` over the visited states. A step is *fixed* when no cut has
+    ``lower[j] < u <= upper[j]``: every visited state then draws the number of
+    ``upper`` below u, so a chunk's fixed steps take m - 1 whole-array
+    comparisons. The other steps are *open*. An open step is ready once the
+    open step before it in its chain is settled, or lies more than ``order``
+    steps back. Each round settles every ready step from the state its
+    ``order`` predecessors give, so a chunk takes as many rounds as its
+    longest run of dependent open steps.
+
+    A round costs about two steps of a per-step loop. When the table leaves
+    most steps waiting on an earlier open step (a persistent source, or a high
+    order), all chains are instead stepped together one time step at a time.
+    Both give the same draws.
+
+    An unvisited state's cuts are all ones, so a chain that reaches it draws
+    0 and stays in range. After each chunk every state in it is checked;
+    every draw before the first unvisited state is exact, so this raises
+    :class:`InsufficientData` exactly when a check before each step would.
     """
     n = source.shape[0]
     if n <= order:
@@ -397,35 +475,33 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
     table = np.bincount(ctx * m + nxt, minlength=n_states * m).reshape(n_states, m)
     row_tot = table.sum(axis=1)
     visited = row_tot > 0
-    cum = np.zeros((n_states, m))
-    cum[visited] = np.cumsum(table[visited] / row_tot[visited, None], axis=1)
-    cum[visited, -1] = 1.0  # exact upper bound regardless of rounding
+    cuts = np.ones((m - 1, n_states))
+    cuts[:, visited] = np.cumsum(table[visited] / row_tot[visited, None], axis=1)[:, :-1].T
+    upper, lower = cuts[:, visited].max(axis=1), cuts[:, visited].min(axis=1)
+    # a step is open with chance at most p_open; take rounds while fewer than half
+    # of the steps have an open step among their ``order`` predecessors
+    p_open = min(1.0, float((upper - lower).sum()))
+    in_rounds = 1.0 - (1.0 - p_open) ** order < 0.5
 
     out = np.empty((n_reps, n), dtype=np.min_scalar_type(m - 1))
-    states = np.empty(n_reps, dtype=np.int64)
-    rngs = []
-    for i in range(n_reps):
-        rng = substream(seed, _DOMAIN_BOOTSTRAP, i)
-        start = int(rng.integers(ctx.shape[0]))
-        states[i] = ctx[start]
-        out[i, :order] = source[start: start + order]
-        rngs.append(rng)
-
-    carry = m ** (order - 1)
-    uniforms = np.empty((min(_NULL_CHUNK, n - order), n_reps))
+    rngs = [substream(seed, _DOMAIN_BOOTSTRAP, i) for i in range(n_reps)]
+    starts = np.fromiter((rng.integers(ctx.shape[0]) for rng in rngs), np.int64, n_reps)
+    out[:, :order] = source[starts[:, None] + np.arange(order)]
+    uniforms = np.empty((n_reps, min(_NULL_CHUNK, n - order)))
     for lo in range(order, n, _NULL_CHUNK):
         hi = min(lo + _NULL_CHUNK, n)
-        for i, rng in enumerate(rngs):
-            uniforms[: hi - lo, i] = rng.random(hi - lo)
-        for t in range(lo, hi):
-            if not visited[states].all():
-                raise InsufficientData(
-                    "bootstrap regeneration reached a source Markov state never visited in the data"
-                )
-            rows = cum[states]
-            drawn = (uniforms[t - lo, :, None] > rows).sum(axis=1)
-            out[:, t] = drawn
-            states = drawn + m * (states % carry)
+        chunk = uniforms[:, : hi - lo]
+        for row, rng in zip(chunk, rngs):
+            rng.random(out=row)
+        if in_rounds:
+            _draw_in_rounds(out, lo, chunk, cuts, order, upper, lower)
+        else:
+            _draw_stepwise(out, lo, chunk, cuts, order)
+        # a table whose states were all visited leaves no state to check
+        if not visited.all() and not visited[_history_codes(out, lo, hi, order, m, np.int32)].all():
+            raise InsufficientData(
+                "bootstrap regeneration reached a source Markov state never visited in the data"
+            )
     return out
 
 

@@ -366,6 +366,117 @@ class TestMarkovNullStreaming:
         np.testing.assert_array_equal(got, markov_null_one_shot(src, 3, 2, 4, 9))
 
 
+def skewed_source(n, order, seed):
+    """i.i.d. symbols with p = .05/.9/.05 whose last order-context also opens the series."""
+    head = np.random.default_rng(seed).choice(3, n - order, p=[0.05, 0.9, 0.05])
+    return np.concatenate([head, head[:order]]).astype(np.uint8)
+
+
+def sticky_source(n, order, seed):
+    """3 symbols that repeat the last one with probability .9, with no dead end."""
+    rng = np.random.default_rng(seed)
+    head = [0]
+    for stay, sym_ in zip(rng.random(n - order - 1) < 0.9, rng.integers(0, 3, n - order - 1)):
+        head.append(head[-1] if stay else int(sym_))
+    return np.array(head + head[:order], dtype=np.uint8)
+
+
+ROUNDS, STEPWISE = "_draw_in_rounds", "_draw_stepwise"
+DEFAULT_CHUNK = te_mod._NULL_CHUNK
+
+
+@pytest.fixture
+def regimes(monkeypatch):
+    """The set of draw functions ``_markov_null_sources`` calls from here on."""
+    called = set()
+    for name in (ROUNDS, STEPWISE):
+        def spy(*args, _real=getattr(te_mod, name), _name=name):
+            called.add(_name)
+            return _real(*args)
+        monkeypatch.setattr(te_mod, name, spy)
+    return called
+
+
+class TestMarkovNullRegimes:
+    """Fixed steps at once with open steps in rounds, and the per-step loop,
+    both give exactly the one-shot draw's nulls, and raise where it fails."""
+
+    @pytest.mark.parametrize("chunk", [8, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("make, order, regime", [
+        (skewed_source, 1, ROUNDS),
+        (skewed_source, 2, ROUNDS),
+        (sticky_source, 1, STEPWISE),
+        (sticky_source, 2, STEPWISE),
+    ])
+    def test_equals_one_shot_draw(self, monkeypatch, regimes, chunk, extra, make, order, regime):
+        monkeypatch.setattr(te_mod, "_NULL_CHUNK", chunk)
+        src = make(order + 2 * DEFAULT_CHUNK + extra, order, seed=3)
+        got = te_mod._markov_null_sources(src, 3, order, 6, seed=order)
+        assert regimes == {regime}
+        np.testing.assert_array_equal(got, markov_null_one_shot(src, 3, order, 6, order))
+
+    @pytest.mark.parametrize("chunk", [8, DEFAULT_CHUNK])
+    def test_open_draw_into_unvisited_state_raises(self, monkeypatch, regimes, chunk):
+        # symbol 2 occurs once, last, so state 2 was never followed by a symbol;
+        # only the open draws u > P(next <= 1 | s) reach it
+        monkeypatch.setattr(te_mod, "_NULL_CHUNK", chunk)
+        head = np.random.default_rng(4).choice(2, 3000, p=[0.1, 0.9])
+        src = np.append(head, 2).astype(np.uint8)
+        assert markov_null_one_shot(src, 3, 1, 5, 7) is None
+        with pytest.raises(InsufficientData):
+            te_mod._markov_null_sources(src, 3, 1, 5, 7)
+        assert regimes == {ROUNDS}
+
+    @pytest.mark.parametrize("chunk", [8, DEFAULT_CHUNK])
+    def test_fixed_draw_into_unvisited_state_raises(self, monkeypatch, regimes, chunk):
+        # 0/1 symbols with a rare 2 always between 1s, closed by (1, 2, 0): the
+        # context (2, 0) is never followed by a symbol, and only (1, 2) leads to it
+        monkeypatch.setattr(te_mod, "_NULL_CHUNK", chunk)
+        rng = np.random.default_rng(1)
+        seq = [1]
+        while len(seq) < 1997:
+            seq += [2, 1] if seq[-1] == 1 and rng.random() < 0.02 else [int(rng.random() >= 0.1)]
+        src = np.array(seq + [1, 2, 0], dtype=np.uint8)
+        follows = {}
+        for t in range(2, src.size):
+            follows.setdefault((src[t - 2], src[t - 1]), []).append(src[t])
+        p_zero = {ctx: nxt.count(0) / len(nxt) for ctx, nxt in follows.items()}
+        # (1, 2) has the least chance of a 0 among visited states, so every u that
+        # draws 0 from it draws 0 from all of them: the entry is a fixed step
+        assert (2, 0) not in follows and p_zero[(1, 2)] == min(p_zero.values())
+        assert markov_null_one_shot(src, 3, 2, 5, 1) is None
+        with pytest.raises(InsufficientData):
+            te_mod._markov_null_sources(src, 3, 2, 5, 1)
+        assert regimes == {ROUNDS}
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(2, 4), order=st.integers(1, 3), n=st.integers(1, 600),
+           dominant=st.floats(0.5, 0.99), stay=st.sampled_from([0.0, 0.5, 0.9]),
+           last=st.integers(0, 3), chunk=st.sampled_from([8, DEFAULT_CHUNK]),
+           seed=st.integers(0, 2 ** 16))
+    def test_property_equals_oracle_or_raises_with_it(self, m, order, n, dominant, stay, last,
+                                                      chunk, seed):
+        # a skewed source, persistent or not, closed by any symbol: a rare one
+        # often leaves the last context unvisited
+        rng = np.random.default_rng(seed)
+        p = np.full(m, (1.0 - dominant) / (m - 1))
+        p[seed % m] = dominant
+        src = [int(rng.choice(m, p=p))]
+        for _ in range(order + n - 2):
+            src.append(src[-1] if rng.random() < stay else int(rng.choice(m, p=p)))
+        src = np.array(src + [last % m], dtype=np.uint8)
+        expected = markov_null_one_shot(src, m, order, 3, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(te_mod, "_NULL_CHUNK", chunk)
+            if expected is None:
+                with pytest.raises(InsufficientData):
+                    te_mod._markov_null_sources(src, m, order, 3, seed)
+            else:
+                np.testing.assert_array_equal(
+                    te_mod._markov_null_sources(src, m, order, 3, seed), expected)
+
+
 class TestTeConfig:
     def test_alphabet_follows_cuts(self):
         assert TeConfig(quantile_cuts=(0.1, 0.5, 0.9)).alphabet_size == 4
