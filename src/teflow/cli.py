@@ -63,12 +63,6 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
                    help="emit errors as machine-readable JSON on stderr")
 
 
-def _te_config(args) -> TeConfig:
-    return TeConfig(k=args.k, l=args.l, quantile_cuts=tuple(args.quantiles),
-                    log_base=args.base, n_shuffles=args.shuffles, n_bootstrap=args.boot,
-                    block_order=args.block_order, seed=args.seed)
-
-
 def _write_run_config(args) -> None:
     """Audit trail next to the outputs: a --config file that replays the run, unset flags left out."""
     lines = [f"command = {args.command}"]
@@ -145,7 +139,7 @@ def cmd_ingest(args) -> None:
     trend_files += args.trend
     # validate every input before writing anything
     ohlc = load_ohlc_csv(args.ohlc) if args.ohlc else None
-    trends = [(f, load_trend_csv(f, keyword=f.stem, tolerant=True)) for f in trend_files]
+    trends = [(f, load_trend_csv(f, keyword=f.stem)) for f in trend_files]
     if ohlc is None and not trends:
         raise ParseError("nothing to ingest; pass --ohlc and/or --trends-dir/--trend")
     if ohlc is not None:
@@ -167,7 +161,7 @@ def cmd_index(args) -> None:
         if found is None:
             log.warning("no file for keyword %r; composite coverage reduced", kw)
             continue
-        series_by_keyword[kw] = load_trend_csv(found, keyword=kw, tolerant=True)
+        series_by_keyword[kw] = load_trend_csv(found, keyword=kw)
     composite = build_composite(series_by_keyword, kw_set)
     diff = first_difference(composite.levels) if args.diff else None
     levels_path = args.out / f"{kw_set.name}.csv"
@@ -201,39 +195,37 @@ def cmd_vol(args) -> None:
     print(f"{args.method} volatility: {len(vol)} rows -> {dest}")
 
 
-def _load_te_inputs(args) -> tuple[DatedSeries, list[DatedSeries]]:
+def _run_pair_command(args, **spec_fields) -> AnalysisReport:
+    """Analyse --source against every --target; write ``<command>_report.csv`` and .json.
+
+    ``spec_fields`` are the :class:`AnalysisSpec` fields the command sets
+    beyond its pairs, estimator config and transforms.
+    """
     if len(args.target_label) > len(args.target):
         raise ConfigError(f"{len(args.target_label)} --target-label values for "
                           f"{len(args.target)} --target files; give at most one label per target")
     source = load_series_csv(args.source, label=args.source_label)
     labels = args.target_label + [None] * len(args.target)
-    return source, [load_series_csv(path, label=label) for path, label in zip(args.target, labels)]
-
-
-def _analysis_spec(args, source: DatedSeries, targets: list[DatedSeries], *,
-                   lag_range=None, window_scheme=None, include_base_rows=True,
-                   lag_mode="history") -> tuple[AnalysisSpec, dict[str, DatedSeries]]:
+    targets = [load_series_csv(path, label=label) for path, label in zip(args.target, labels)]
     series = {source.label: source}
-    pairs = []
     transforms = {source.label: args.source_transform}
     for t in targets:
         if t.label in series:
             raise ConfigError(f"two input series are labelled {t.label!r}; "
                               "give each target a distinct --target-label")
         series[t.label] = t
-        pairs.append((source.label, t.label, True))
         transforms[t.label] = args.target_transform
-    spec = AnalysisSpec(pairs=tuple(pairs), te_config=_te_config(args),
-                        lag_range=lag_range, window_scheme=window_scheme,
-                        transforms=transforms, lag_mode=lag_mode,
-                        include_base_rows=include_base_rows)
-    return spec, series
-
-
-def _emit_report(report: AnalysisReport, out: Path, stem: str) -> None:
-    report.write_csv(out / f"{stem}_report.csv")
-    report.write_json(out / f"{stem}_report.json")
-    print(f"report -> {out / (stem + '_report.csv')} and .json")
+    config = TeConfig(k=args.k, l=args.l, quantile_cuts=tuple(args.quantiles),
+                      log_base=args.base, n_shuffles=args.shuffles, n_bootstrap=args.boot,
+                      block_order=args.block_order, seed=args.seed)
+    spec = AnalysisSpec(pairs=tuple((source.label, t.label) for t in targets), te_config=config,
+                        transforms=transforms, **spec_fields)
+    report = run_analysis(spec, series)
+    csv_path = args.out / f"{args.command}_report.csv"
+    report.write_csv(csv_path)
+    report.write_json(args.out / f"{args.command}_report.json")
+    print(f"report -> {csv_path} and .json")
+    return report
 
 
 def _write_plot_csv(path: Path, header: list[str], rows) -> None:
@@ -247,22 +239,15 @@ def _write_plot_csv(path: Path, header: list[str], rows) -> None:
 
 
 def cmd_te(args) -> None:
-    source, targets = _load_te_inputs(args)
-    spec, series = _analysis_spec(args, source, targets)
-    report = run_analysis(spec, series)
-    _emit_report(report, args.out, "te")
+    report = _run_pair_command(args)
     for est in report.rows:
         p = "n/a" if est.p_value is None else format_value(est.p_value)
         print(f"  {est.direction}: TE={est.te:.4f} ETE={est.ete:.4f} p={p}")
 
 
 def cmd_lagsweep(args) -> None:
-    source, targets = _load_te_inputs(args)
-    spec, series = _analysis_spec(args, source, targets,
-                                  lag_range=(args.min_lag, args.max_lag),
-                                  include_base_rows=False, lag_mode=args.mode)
-    report = run_analysis(spec, series)
-    _emit_report(report, args.out, "lagsweep")
+    report = _run_pair_command(args, lag_range=(args.min_lag, args.max_lag),
+                               include_base_rows=False, lag_mode=args.mode)
     if args.plot_data:
         _write_plot_csv(args.out / "lagsweep_plot.csv", ["direction", "lag"],
                         (([direction, lag], est) for direction, curve in report.lag_curves.items()
@@ -271,11 +256,7 @@ def cmd_lagsweep(args) -> None:
 
 def cmd_windows(args) -> None:
     scheme = WindowScheme(count=args.count, size=args.size)
-    source, targets = _load_te_inputs(args)
-    spec, series = _analysis_spec(args, source, targets, window_scheme=scheme,
-                                  include_base_rows=False)
-    report = run_analysis(spec, series)
-    _emit_report(report, args.out, "windows")
+    report = _run_pair_command(args, window_scheme=scheme, include_base_rows=False)
     if args.plot_data:
         _write_plot_csv(args.out / "windows_plot.csv",
                         ["direction", "window_index", "window_start", "window_end"],

@@ -182,12 +182,13 @@ def window_analysis(source: DatedSeries, target: DatedSeries, config: TeConfig,
 class AnalysisSpec:
     """Declarative description of one experiment grid.
 
-    ``pairs`` lists (source label, target label, both_directions); labels key
-    into the series mapping handed to :func:`run_analysis`. ``transforms``
-    maps a label to "levels" or "diff". A ``lag_range`` adds a lag sweep.
+    ``pairs`` lists (source label, target label); labels key into the series
+    mapping handed to :func:`run_analysis`, and each pair is reported in both
+    directions. ``transforms`` maps a label to "levels" or "diff". A
+    ``lag_range`` adds a lag sweep.
     """
 
-    pairs: tuple[tuple[str, str, bool], ...]
+    pairs: tuple[tuple[str, str], ...]
     te_config: TeConfig
     lag_range: tuple[int, int] | None = None
     window_scheme: WindowScheme | None = None
@@ -289,7 +290,7 @@ def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries])
     report = AnalysisReport()
     null_cache = NullCache()
     report.meta["seed"] = spec.te_config.seed
-    for src_label, tgt_label, both in spec.pairs:
+    for src_label, tgt_label in spec.pairs:
         try:
             src = series_by_label[src_label]
             tgt = series_by_label[tgt_label]
@@ -299,10 +300,7 @@ def run_analysis(spec: AnalysisSpec, series_by_label: Mapping[str, DatedSeries])
         tgt = apply_transform(tgt, spec.transforms.get(tgt_label, "levels"))
         src, tgt = align(src.drop_missing(), tgt.drop_missing())
         if spec.include_base_rows:
-            fwd, bwd = run_pair(src, tgt, spec.te_config, null_cache=null_cache)
-            report.rows.append(fwd)
-            if both:
-                report.rows.append(bwd)
+            report.rows.extend(run_pair(src, tgt, spec.te_config, null_cache=null_cache))
         if spec.lag_range is not None:
             curves = lag_sweep(src, tgt, spec.te_config, spec.lag_range, mode=spec.lag_mode,
                                null_cache=null_cache)

@@ -63,13 +63,6 @@ class DatedSeries:
         write_csv(path, ["date", "value"],
                   ([d.isoformat(), format_value(v)] for d, v in zip(self.dates, self.values)))
 
-    @classmethod
-    def from_pairs(cls, pairs, label: str = "", allow_missing: bool = False) -> "DatedSeries":
-        pairs = list(pairs)
-        dates = tuple(p[0] for p in pairs)
-        values = np.array([p[1] for p in pairs], dtype=float)
-        return cls(dates=dates, values=values, label=label, allow_missing=allow_missing)
-
 
 def read_text(path) -> str:
     """The UTF-8 text of an input file; a missing or undecodable file is a ParseError."""
@@ -175,7 +168,9 @@ def load_series_csv(path, label: str | None = None, skip_preamble: bool = False)
     """
     path = Path(path)
     pairs = read_dated_csv(path, _parse_value, 2, skip_preamble=skip_preamble)
-    return DatedSeries.from_pairs(pairs, label=label if label is not None else path.stem)
+    return DatedSeries(dates=tuple(d for d, _ in pairs),
+                       values=np.array([v for _, v in pairs], dtype=float),
+                       label=label if label is not None else path.stem)
 
 
 def align(series_a: DatedSeries, series_b: DatedSeries) -> tuple[DatedSeries, DatedSeries]:

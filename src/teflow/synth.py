@@ -69,8 +69,8 @@ class ProcessSpec:
         if self.seed < 0:
             raise InvalidSpec("seed must be unsigned")
         if self.kind == "copy":
-            if self.delay < 1:
-                raise InvalidSpec("copy delay must be >= 1")
+            if not 1 <= self.delay <= self.length:
+                raise InvalidSpec("copy delay must lie in [1, length]")
             if not 0.0 <= self.noise <= 0.5:
                 raise InvalidSpec("copy noise must lie in [0, 0.5]")
         if self.kind == "gaussian_ar1" and not abs(self.phi) < 1:

@@ -81,8 +81,8 @@ class TeConfig:
         object.__setattr__(self, "quantile_cuts", validate_cuts(self.quantile_cuts))
         if self.k < 1 or self.l < 1:
             raise ConfigError("history lengths k and l must be >= 1")
-        if self.log_base <= 1.0:
-            raise ConfigError("log_base must be > 1")
+        if not 1.0 < self.log_base < math.inf:
+            raise ConfigError("log_base must be a finite number > 1")
         if self.n_shuffles < 1:
             raise ConfigError("n_shuffles must be >= 1")
         if self.n_bootstrap < 0:
@@ -303,8 +303,8 @@ def transfer_entropy(counts: JointCounts, log_base: float = 2.0) -> float:
     """
     if not counts.counts:
         raise EmptyCounts("transition table is empty")
-    if log_base <= 1.0:
-        raise ConfigError("log_base must be > 1")
+    if not 1.0 < log_base < math.inf:
+        raise ConfigError("log_base must be a finite number > 1")
     total = 0
     ctx: dict[tuple[Pattern, Pattern], int] = {}
     nxt_th: dict[tuple[int, Pattern], int] = {}

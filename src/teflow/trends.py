@@ -54,13 +54,13 @@ def load_keyword_file(path) -> KeywordSet:
     return KeywordSet(name=path.stem, keywords=tuple(text for _, text in read_lines(path)))
 
 
-def load_trend_csv(path, keyword: str, tolerant: bool = True) -> DatedSeries:
+def load_trend_csv(path, keyword: str) -> DatedSeries:
     """Read one keyword's daily series; values must lie in [0, 100].
 
-    Tolerant mode skips a leading provider-export preamble (category line plus
-    blank line) when one is detected.
+    A leading provider-export preamble (category line plus blank line) is
+    skipped when one is detected.
     """
-    series = load_series_csv(path, label=keyword, skip_preamble=tolerant)
+    series = load_series_csv(path, label=keyword, skip_preamble=True)
     if series.values.size and (series.values.min() < 0 or series.values.max() > 100):
         bad = float(series.values[(series.values < 0) | (series.values > 100)][0])
         raise ValueOutOfRange(f"{path}: trend value {bad} outside [0, 100] for {keyword!r}")

@@ -54,7 +54,7 @@ def main():
         path = trends_dir / f"{kw}.csv"
         with open(path, "w", newline="") as fh:
             if kw == "cryptocurrency":
-                # provider-style export preamble; exercises tolerant parsing
+                # provider-style export preamble; exercises preamble skipping
                 fh.write("Category: All categories\n\n")
                 fh.write(f"Day,{kw}: (Worldwide)\n")
             else:

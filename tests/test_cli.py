@@ -451,6 +451,17 @@ class TestExitCodes:
         assert "2 --target-label values for 1 --target" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("base", ["inf", "nan"])
+    def test_non_finite_base_exits_2(self, tmp_path, prepared, capsys, base):
+        out = tmp_path / "out"
+        assert run(["te", "--source", prepared / "subset3_diff.csv",
+                    "--target", prepared / "returns.csv", "--base", base,
+                    "--shuffles", "2", "--boot", "0", "--out", out, "--json-errors"]) == 2
+        payload = json_error(capsys)
+        assert payload["error"] == "ConfigError"
+        assert "log_base" in payload["message"]
+        assert not out.exists()
+
 
 class TestSynthgenCommand:
     def test_writes_pair_with_consecutive_dates(self, tmp_path):
@@ -490,6 +501,13 @@ class TestSynthgenCommand:
     def test_invalid_spec_exits_2(self, tmp_path):
         assert run(["synthgen", "--kind", "copy", "--length", "100",
                     "--noise", "0.9", "--out", tmp_path]) == 2
+
+    def test_copy_delay_beyond_length_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["synthgen", "--kind", "copy", "--length", "5", "--delay", "10",
+                    "--out", out, "--json-errors"]) == 2
+        assert json_error(capsys)["error"] == "InvalidSpec"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         '{"source": [[0.7, 0.3], [0.2, 0.8]], "target": ',  # not JSON

@@ -250,7 +250,7 @@ class TestNullReuse:
     def test_run_analysis_reuses_only_identical_nulls(self, regenerations):
         src, tgt = synthetic_pair(400, 21)
         cfg = replace(FAST, block_order=1)
-        spec = AnalysisSpec(pairs=(("x", "y", True),), te_config=cfg, lag_range=(1, 3),
+        spec = AnalysisSpec(pairs=(("x", "y"),), te_config=cfg, lag_range=(1, 3),
                             window_scheme=WindowScheme(count=2))
         report = run_analysis(spec, {"x": src, "y": tgt})
         # base rows and lags 1-3 share both directions' nulls; the windows run
@@ -329,7 +329,7 @@ class TestTransforms:
 class TestRunAnalysisAndReport:
     def make_report(self, tmp_path, **spec_kw):
         src, tgt = synthetic_pair(700, 17)
-        spec = AnalysisSpec(pairs=(("x", "y", True),), te_config=FAST, **spec_kw)
+        spec = AnalysisSpec(pairs=(("x", "y"),), te_config=FAST, **spec_kw)
         return run_analysis(spec, {"x": src, "y": tgt})
 
     def test_rows_both_directions(self, tmp_path):
@@ -361,7 +361,7 @@ class TestRunAnalysisAndReport:
     def test_transform_applied_before_alignment(self):
         levels = ds([10.0, 12.0, 11.0, 15.0, 14.0] * 60, "gtc")
         src, tgt = synthetic_pair(300, 18)
-        spec = AnalysisSpec(pairs=(("gtc", "y", True),), te_config=FAST,
+        spec = AnalysisSpec(pairs=(("gtc", "y"),), te_config=FAST,
                             transforms={"gtc": "diff"})
         report = run_analysis(spec, {"gtc": levels, "y": tgt})
         # differencing drops the first date, so one fewer effective row
@@ -369,7 +369,7 @@ class TestRunAnalysisAndReport:
 
     def test_unknown_label(self):
         with pytest.raises(ConfigError, match="nope"):
-            run_analysis(AnalysisSpec(pairs=(("nope", "y", True),), te_config=FAST),
+            run_analysis(AnalysisSpec(pairs=(("nope", "y"),), te_config=FAST),
                          {"y": ds([1, 2, 3], "y")})
 
     def test_report_reproducible(self, tmp_path):

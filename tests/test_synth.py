@@ -38,6 +38,7 @@ class TestSpecValidation:
         {"kind": "coupled_markov", "length": 100,
          "source_transitions": ((0.5, 0.6), (0.5, 0.5)),
          "target_transitions": MARKOV_B},
+        {"kind": "copy", "length": 5, "delay": 10},
     ])
     def test_bad_specs_rejected(self, kwargs):
         with pytest.raises(InvalidSpec):

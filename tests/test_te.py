@@ -133,6 +133,12 @@ class TestTransferEntropy:
         te_nats = transfer_entropy(counts, math.e)
         assert te_nats == pytest.approx(te_bits * math.log(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("base", [1.0, float("inf"), float("nan")])
+    def test_log_base_must_be_finite_and_above_one(self, base):
+        counts = count_transitions(sym(GOLDEN_Y), sym(GOLDEN_X), 1, 1)
+        with pytest.raises(ConfigError):
+            transfer_entropy(counts, base)
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_reference(self, data):
@@ -495,6 +501,8 @@ class TestTeConfig:
         {"quantile_cuts": (0.9, 0.1)},
         {"quantile_cuts": (0.0, 0.5)},
         {"quantile_cuts": ()},
+        {"log_base": float("inf")},
+        {"log_base": float("nan")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -88,7 +88,7 @@ class TestLoadTrendCsv:
         exported.write_text("Category: All categories\n\n"
                             "Day,bitcoin: (Worldwide)\n2020-01-01,55\n2020-01-02,60\n")
         a = load_trend_csv(clean, "bitcoin")
-        b = load_trend_csv(exported, "bitcoin", tolerant=True)
+        b = load_trend_csv(exported, "bitcoin")
         assert a.dates == b.dates
         assert a.values.tolist() == b.values.tolist()
 
