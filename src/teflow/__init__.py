@@ -4,96 +4,44 @@ Plug-in Shannon transfer entropy with shuffle-corrected effective transfer
 entropy and Markov-bootstrap inference, plus the data layer for market
 (returns, range volatilities) and search-attention (composite keyword index)
 series, lag sweeps, and non-overlapping window analyses.
+
+The public names below are imported from their modules on first use, so
+``import teflow.cli`` loads only what the command it runs needs.
 """
 
-from .errors import TeflowError
-from .market import (
-    OhlcBar,
-    OhlcSeries,
-    garman_klass_volatility,
-    load_ohlc_csv,
-    log_returns,
-    parkinson_volatility,
-)
-from .pipeline import (
-    AnalysisReport,
-    AnalysisSpec,
-    WindowResult,
-    WindowScheme,
-    apply_transform,
-    lag_sweep,
-    run_analysis,
-    run_pair,
-    window_analysis,
-)
-from .series import DatedSeries, align, load_series_csv
-from .symbolic import SymbolSeries, symbolize
-from .synth import ProcessSpec, binary_entropy, generate, population_te
-from .te import (
-    JointCounts,
-    NullCache,
-    TeConfig,
-    TeEstimate,
-    bootstrap_inference,
-    count_transitions,
-    effective_transfer_entropy,
-    estimate,
-    shuffle_surrogate_te,
-    transfer_entropy,
-)
-from .trends import (
-    CompositeIndex,
-    KeywordSet,
-    build_composite,
-    first_difference,
-    load_keyword_file,
-    load_trend_csv,
-    preset,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "AnalysisSpec",
-    "CompositeIndex",
-    "DatedSeries",
-    "JointCounts",
-    "KeywordSet",
-    "NullCache",
-    "OhlcBar",
-    "OhlcSeries",
-    "ProcessSpec",
-    "SymbolSeries",
-    "TeConfig",
-    "TeEstimate",
-    "TeflowError",
-    "WindowResult",
-    "WindowScheme",
-    "align",
-    "apply_transform",
-    "binary_entropy",
-    "bootstrap_inference",
-    "build_composite",
-    "count_transitions",
-    "effective_transfer_entropy",
-    "estimate",
-    "first_difference",
-    "garman_klass_volatility",
-    "generate",
-    "lag_sweep",
-    "load_keyword_file",
-    "load_ohlc_csv",
-    "load_series_csv",
-    "load_trend_csv",
-    "log_returns",
-    "parkinson_volatility",
-    "population_te",
-    "preset",
-    "run_analysis",
-    "run_pair",
-    "shuffle_surrogate_te",
-    "symbolize",
-    "transfer_entropy",
-    "window_analysis",
-]
+_PUBLIC = {
+    "errors": ("TeflowError",),
+    "market": ("OhlcBar", "OhlcSeries", "garman_klass_volatility", "load_ohlc_csv",
+               "log_returns", "parkinson_volatility"),
+    "pipeline": ("AnalysisReport", "AnalysisSpec", "WindowResult", "WindowScheme",
+                 "apply_transform", "lag_sweep", "run_analysis", "run_pair", "window_analysis"),
+    "series": ("DatedSeries", "align", "load_series_csv"),
+    "symbolic": ("SymbolSeries", "symbolize"),
+    "synth": ("ProcessSpec", "binary_entropy", "generate", "population_te"),
+    "te": ("JointCounts", "NullCache", "TeConfig", "TeEstimate", "bootstrap_inference",
+           "count_transitions", "effective_transfer_entropy", "estimate",
+           "shuffle_surrogate_te", "transfer_entropy"),
+    "trends": ("CompositeIndex", "KeywordSet", "build_composite", "first_difference",
+               "load_keyword_file", "load_trend_csv", "preset"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _PUBLIC:  # a submodule: ``import teflow`` then ``teflow.te`` works
+        return _import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_PUBLIC))

@@ -11,17 +11,17 @@ import logging
 import sys
 from datetime import date, timedelta
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .choices import KINDS, LAG_MODES, PRESET_NAMES, TRANSFORMS
 from .errors import ConfigError, InvalidSpec, ParseError, TeflowError, UsageError
-from .market import garman_klass_volatility, load_ohlc_csv, log_returns, parkinson_volatility
-from .pipeline import LAG_MODES, TRANSFORMS, AnalysisReport, AnalysisSpec, WindowScheme, run_analysis
 from .series import (DatedSeries, format_value, join_fields, load_series_csv, read_lines, read_text,
                      split_fields, write_csv)
-from .te import TeConfig
-from .trends import PRESET_NAMES, build_composite, first_difference, load_keyword_file, load_trend_csv, preset
-from .synth import KINDS, ProcessSpec, generate
+
+if TYPE_CHECKING:
+    from .pipeline import AnalysisReport
 
 log = logging.getLogger(__name__)
 
@@ -131,10 +131,14 @@ def _inject_config(argv: list[str], commands: dict[str, argparse.ArgumentParser]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the analysis modules it uses, so that a data
+# command does not load the estimator
 
 
 def cmd_ingest(args) -> None:
+    from .market import load_ohlc_csv
+    from .trends import load_trend_csv
+
     trend_files = sorted(args.trends_dir.glob("*.csv")) if args.trends_dir else []
     trend_files += args.trend
     # validate every input before writing anything
@@ -153,6 +157,8 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_index(args) -> None:
+    from .trends import build_composite, first_difference, load_keyword_file, load_trend_csv, preset
+
     kw_set = load_keyword_file(args.keywords) if args.set is None else preset(args.set)
     series_by_keyword = {}
     for kw in kw_set.keywords:
@@ -177,6 +183,8 @@ def cmd_index(args) -> None:
 
 
 def cmd_returns(args) -> None:
+    from .market import load_ohlc_csv, log_returns
+
     series = load_ohlc_csv(args.ohlc)
     dest = args.out / "returns.csv"
     log_returns(series).to_csv(dest)
@@ -184,6 +192,8 @@ def cmd_returns(args) -> None:
 
 
 def cmd_vol(args) -> None:
+    from .market import garman_klass_volatility, load_ohlc_csv, parkinson_volatility
+
     series = load_ohlc_csv(args.ohlc)
     if args.method == "parkinson":
         vol = parkinson_volatility(series)
@@ -201,6 +211,9 @@ def _run_pair_command(args, **spec_fields) -> AnalysisReport:
     ``spec_fields`` are the :class:`AnalysisSpec` fields the command sets
     beyond its pairs, estimator config and transforms.
     """
+    from .pipeline import AnalysisSpec, run_analysis
+    from .te import TeConfig
+
     if len(args.target_label) > len(args.target):
         raise ConfigError(f"{len(args.target_label)} --target-label values for "
                           f"{len(args.target)} --target files; give at most one label per target")
@@ -255,6 +268,8 @@ def cmd_lagsweep(args) -> None:
 
 
 def cmd_windows(args) -> None:
+    from .pipeline import WindowScheme
+
     scheme = WindowScheme(count=args.count, size=args.size)
     report = _run_pair_command(args, window_scheme=scheme, include_base_rows=False)
     if args.plot_data:
@@ -265,6 +280,8 @@ def cmd_windows(args) -> None:
 
 
 def cmd_synthgen(args) -> None:
+    from .synth import ProcessSpec, generate
+
     tables = {}
     if args.tables:
         text = read_text(args.tables)

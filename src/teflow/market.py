@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, NonPositivePrice, ParseError, SeriesTooShort
-from .series import DatedSeries, format_value, read_dated_csv, write_csv
+from .series import DatedSeries, format_value, read_dated_csv, write_lines
 
 _LN2 = math.log(2.0)
 _PARKINSON_SCALE = 1.0 / (4.0 * _LN2)
@@ -46,9 +47,10 @@ class OhlcSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "bars", tuple(self.bars))
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.day <= prev.day:
-                raise InvariantViolation(f"bar dates not strictly increasing at {cur.day.isoformat()}")
+        days = self.dates
+        if not all(map(operator.lt, days, days[1:])):
+            cur = next(c for p, c in zip(days, days[1:]) if c <= p)
+            raise InvariantViolation(f"bar dates not strictly increasing at {cur.isoformat()}")
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -61,25 +63,26 @@ class OhlcSeries:
         return np.array([getattr(b, name) for b in self.bars], dtype=float)
 
     def to_csv(self, path) -> None:
-        write_csv(path, OHLC_HEADER,
-                  ([b.day.isoformat()] + [format_value(v) for v in (b.open, b.high, b.low, b.close)]
-                   for b in self.bars))
+        write_lines(path, [",".join(OHLC_HEADER), *(
+            f"{b.day.isoformat()},{format_value(b.open)},{format_value(b.high)},"
+            f"{format_value(b.low)},{format_value(b.close)}" for b in self.bars)])
 
 
-def _parse_bar(day: date, fields: list[str], path: Path, line: int) -> OhlcBar:
+def _parse_bar(day: date, fields: list[str], path: Path, line: int) -> tuple[float, ...]:
     try:
         o, h, lo, c = (float(x) for x in fields)
     except ValueError:
         raise ParseError("bad price field", path=path, line=line) from None
     if not all(math.isfinite(v) for v in (o, h, lo, c)):
         raise ParseError("non-finite price", path=path, line=line)
-    return OhlcBar(day=day, open=o, high=h, low=lo, close=c)
+    OhlcBar(day=day, open=o, high=h, low=lo, close=c)  # an invalid bar fails before later rows
+    return o, h, lo, c
 
 
 def load_ohlc_csv(path) -> OhlcSeries:
     """Parse, sort and validate a `date,open,high,low,close` CSV."""
-    rows = read_dated_csv(path, _parse_bar, len(OHLC_HEADER), header=OHLC_HEADER)
-    return OhlcSeries(bars=tuple(bar for _, bar in rows))
+    dates, table = read_dated_csv(path, _parse_bar, len(OHLC_HEADER), header=OHLC_HEADER)
+    return OhlcSeries(bars=tuple(map(OhlcBar, dates, *table.T.tolist())))
 
 
 def log_returns(series: OhlcSeries) -> DatedSeries:

@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from typing import Mapping
 
+from .choices import LAG_MODES, TRANSFORMS
 from .errors import ConfigError, InvariantViolation, LagTooLargeForSample, SeriesTooShort, WindowTooSmall
 from .series import DatedSeries, align, format_value, write_csv
 from .symbolic import symbolize
@@ -18,8 +19,6 @@ from .trends import first_difference
 
 log = logging.getLogger(__name__)
 
-TRANSFORMS = ("levels", "diff")
-LAG_MODES = ("history", "shift")
 
 REPORT_COLUMNS = ["direction", "lag", "window_start", "window_end", "te", "ete",
                   "std_err", "p_value", "n_effective", "config_digest"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -38,9 +39,9 @@ class DatedSeries:
         object.__setattr__(self, "dates", tuple(self.dates))
         if len(self.dates) != vals.shape[0]:
             raise ValueError("dates and values must have equal length")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise ParseError(f"dates not strictly increasing near {cur.isoformat()}")
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
+            cur = next(c for p, c in zip(self.dates, self.dates[1:]) if c <= p)
+            raise ParseError(f"dates not strictly increasing near {cur.isoformat()}")
         if np.isinf(vals).any():
             raise NonFiniteValue(f"infinite value in series {self.label!r}")
         if not self.allow_missing and np.isnan(vals).any():
@@ -60,19 +61,22 @@ class DatedSeries:
         return replace(self, dates=dates, values=self.values[keep], allow_missing=False)
 
     def to_csv(self, path) -> None:
-        write_csv(path, ["date", "value"],
-                  ([d.isoformat(), format_value(v)] for d, v in zip(self.dates, self.values)))
+        write_lines(path, ["date,value", *(f"{d.isoformat()},{format_value(v)}"
+                                           for d, v in zip(self.dates, self.values.tolist()))])
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of an input file; a missing or undecodable file is a ParseError."""
+    """The UTF-8 text of an input file, without a leading byte order mark.
+
+    A missing or undecodable file is a ParseError.
+    """
     path = Path(path)
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise ParseError("file not found", path=path) from None
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
         raise ParseError(f"not UTF-8 text (byte {err.start})", path=path, line=line) from None
@@ -85,24 +89,67 @@ def read_lines(path) -> list[tuple[int, str]]:
 
 
 def read_dated_csv(path, parse, columns: int, header=None,
-                   skip_preamble: bool = False) -> list[tuple[date, object]]:
-    """Rows of a CSV whose first column is an ISO date, as sorted ``(date, parsed)`` pairs.
+                   skip_preamble: bool = False) -> tuple[list[date], np.ndarray]:
+    """A CSV whose first column is an ISO date, as sorted dates and an ``(n, columns - 1)`` table.
 
     The first row is a header; it must equal ``header`` (case and spacing
     aside) when one is given. ``skip_preamble`` skips a leading export
     preamble (a line without a comma, then blank lines) when one is detected.
-    Blank rows are skipped; every other row has ``columns`` fields. ``parsed``
-    is ``parse(day, fields[1:], path, line)``; duplicate dates are rejected
-    after it.
+    Blank rows are skipped; every other row has ``columns`` fields.
+    ``parse(day, fields[1:], path, line)`` checks one row and returns its
+    value, or its values as a tuple; duplicate dates are rejected after it.
+
+    A plain file is read a column at a time. Anything else goes through the
+    row loop, which alone decides every error and its line.
     """
     path = Path(path)
-    lines = read_text(path).splitlines()
+    text = read_text(path)
+    lines = text.splitlines()
     offset = 0
     if skip_preamble and lines and lines[0].strip() and "," not in lines[0]:
         offset = 1
         while offset < len(lines) and not lines[offset].strip():
             offset += 1
-    reader = csv.reader(lines[offset:])
+    lines = lines[offset:]
+    return (_read_columns(text, lines, columns, header)
+            or _read_rows(lines, offset, path, parse, columns, header))
+
+
+def _read_columns(text: str, lines: list[str], columns: int,
+                  header) -> tuple[list[date], np.ndarray] | None:
+    """:func:`read_dated_csv` a column at a time, or None when the row loop must decide.
+
+    That is when the text holds a quote or a NUL, there are no lines, a line
+    is longer than the csv field limit, the header differs, a row has the
+    wrong number of commas (a blank row has none), a field does not parse, a
+    value is not finite or the dates are not strictly increasing.
+    """
+    limit = csv.field_size_limit()
+    if ('"' in text or "\0" in text or not lines
+            or (len(text) >= limit and max(map(len, lines)) >= limit)):
+        return None
+    if header is not None and [c.strip().lower() for c in lines[0].split(",")] != list(header):
+        return None
+    rows = lines[1:]
+    if {line.count(",") for line in rows} - {columns - 1}:
+        return None
+    fields = ",".join(rows).split(",")
+    days = fields[::columns]
+    del fields[::columns]
+    try:
+        dates = list(map(date.fromisoformat, days))
+        table = np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        return None
+    if not (np.isfinite(table).all() and all(map(operator.lt, dates, dates[1:]))):
+        return None
+    return dates, table.reshape(len(dates), columns - 1)
+
+
+def _read_rows(lines: list[str], offset: int, path: Path, parse, columns: int,
+               header) -> tuple[list[date], np.ndarray]:
+    """:func:`read_dated_csv` one csv row at a time; ``lines[0]`` is line ``offset + 1``."""
+    reader = csv.reader(lines)
     try:
         rows = list(reader)
     except csv.Error as err:
@@ -125,7 +172,8 @@ def read_dated_csv(path, parse, columns: int, header=None,
         if day in parsed:
             raise ParseError(f"duplicate date {day.isoformat()}", path=path, line=i)
         parsed[day] = value
-    return sorted(parsed.items())  # dates are unique, so values are never compared
+    dates = sorted(parsed)
+    return dates, np.array([parsed[d] for d in dates], dtype=float).reshape(len(dates), columns - 1)
 
 
 def join_fields(items) -> str:
@@ -150,6 +198,14 @@ def write_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
+def write_lines(path, lines) -> None:
+    """Write CSV lines whose fields need no quoting, byte for byte as :func:`write_csv` would."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join([*lines, ""]))
+
+
 def _parse_value(day: date, fields: list[str], path: Path, line: int) -> float:
     try:
         v = float(fields[0])
@@ -167,9 +223,8 @@ def load_series_csv(path, label: str | None = None, skip_preamble: bool = False)
     followed by a blank line) when one is detected.
     """
     path = Path(path)
-    pairs = read_dated_csv(path, _parse_value, 2, skip_preamble=skip_preamble)
-    return DatedSeries(dates=tuple(d for d, _ in pairs),
-                       values=np.array([v for _, v in pairs], dtype=float),
+    dates, table = read_dated_csv(path, _parse_value, 2, skip_preamble=skip_preamble)
+    return DatedSeries(dates=dates, values=table[:, 0],
                        label=label if label is not None else path.stem)
 
 

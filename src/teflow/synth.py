@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import KINDS
 from .errors import InvalidSpec, NoClosedForm
-from .te import JointCounts, transfer_entropy
-
-KINDS = ("iid_binary", "copy", "coupled_markov", "gaussian_ar1")
+from .te import JointCounts, _check_log_base, transfer_entropy
 
 # generator substream domains
 _SRC = 10
@@ -33,6 +32,7 @@ def _rng(seed: int, domain: int) -> np.random.Generator:
 
 def binary_entropy(p: float, log_base: float = 2.0) -> float:
     """H(p) for a Bernoulli(p) variable, in units of log_base."""
+    _check_log_base(log_base)
     if not 0.0 <= p <= 1.0:
         raise InvalidSpec(f"probability outside [0, 1]: {p}")
     if p in (0.0, 1.0):
@@ -182,6 +182,7 @@ def population_te(spec: ProcessSpec, k: int = 1, l: int = 1, log_base: float = 2
     gaussian_ar1 has no closed form after symbolization and must be estimated
     by long simulation.
     """
+    _check_log_base(log_base)
     if k < 1 or l < 1:
         raise InvalidSpec("history lengths must be >= 1")
     if spec.kind == "iid_binary":

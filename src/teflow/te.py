@@ -59,6 +59,12 @@ def derive_seed(seed: int, domain: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_log_base(log_base: float) -> None:
+    """Reject a logarithm base that is not a finite number above 1 (nan included)."""
+    if not 1.0 < log_base < math.inf:
+        raise ConfigError("log_base must be a finite number > 1")
+
+
 @dataclass(frozen=True)
 class TeConfig:
     """Estimator configuration.
@@ -81,8 +87,7 @@ class TeConfig:
         object.__setattr__(self, "quantile_cuts", validate_cuts(self.quantile_cuts))
         if self.k < 1 or self.l < 1:
             raise ConfigError("history lengths k and l must be >= 1")
-        if not 1.0 < self.log_base < math.inf:
-            raise ConfigError("log_base must be a finite number > 1")
+        _check_log_base(self.log_base)
         if self.n_shuffles < 1:
             raise ConfigError("n_shuffles must be >= 1")
         if self.n_bootstrap < 0:
@@ -303,8 +308,7 @@ def transfer_entropy(counts: JointCounts, log_base: float = 2.0) -> float:
     """
     if not counts.counts:
         raise EmptyCounts("transition table is empty")
-    if not 1.0 < log_base < math.inf:
-        raise ConfigError("log_base must be a finite number > 1")
+    _check_log_base(log_base)
     total = 0
     ctx: dict[tuple[Pattern, Pattern], int] = {}
     nxt_th: dict[tuple[int, Pattern], int] = {}

@@ -10,14 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
+from .choices import PRESET_NAMES
 from .errors import InvariantViolation, NoConstituentData, SeriesTooShort, ValueOutOfRange
 from .series import DatedSeries, load_series_csv, read_lines
-
-PRESET_NAMES = ("full", "subset1", "subset2", "subset3")
 
 
 @dataclass(frozen=True)
@@ -85,26 +85,28 @@ class CompositeIndex:
 def build_composite(series_by_keyword: dict[str, DatedSeries], keyword_set: KeywordSet) -> CompositeIndex:
     """Per-date arithmetic mean over the set's keywords that have a value that day.
 
-    Dates covered by no keyword are omitted. Contributions are summed in
-    keyword-name order so the result is independent of input ordering.
+    Dates covered by no keyword are omitted. Each sum is exactly rounded
+    (``math.fsum``), so the result does not depend on the keywords' order.
     """
-    members = [k for k in sorted(keyword_set.keywords, key=str.casefold)
-               if k in series_by_keyword]
+    members = [k for k in keyword_set.keywords if k in series_by_keyword]
     if not members:
         raise NoConstituentData(f"no data for any keyword of set {keyword_set.name!r}")
-    per_date: dict = {}
-    for kw in members:
-        s = series_by_keyword[kw]
-        for d, v in zip(s.dates, s.values):
-            if math.isnan(v):
-                continue
-            per_date.setdefault(d, []).append(float(v))
-    if not per_date:
+    constituents = [series_by_keyword[kw] for kw in members]
+    union = tuple(sorted(set().union(*(c.dates for c in constituents))))
+    slot = {d: i for i, d in enumerate(union)}
+    table = np.full((len(union), len(constituents)), np.nan)
+    for j, c in enumerate(constituents):
+        table[np.fromiter(map(slot.__getitem__, c.dates), np.intp, len(c)), j] = c.values
+    present = ~np.isnan(table)
+    counts = present.sum(axis=1)
+    keep = counts > 0
+    if not keep.any():
         raise NoConstituentData(f"all keyword series of set {keyword_set.name!r} are empty")
-    dates = sorted(per_date)
-    values = np.array([math.fsum(per_date[d]) / len(per_date[d]) for d in dates])
-    coverage = tuple(len(per_date[d]) for d in dates)
-    levels = DatedSeries(dates=tuple(dates), values=values, label=keyword_set.name)
+    table[~present] = -0.0  # x + -0.0 == x for every x, so a gap adds nothing to the sum
+    kept = counts[keep]
+    values = np.fromiter(map(math.fsum, table[keep].tolist()), float, len(kept)) / kept
+    coverage = tuple(kept.tolist())
+    levels = DatedSeries(dates=tuple(compress(union, keep)), values=values, label=keyword_set.name)
     return CompositeIndex(levels=levels, constituents=keyword_set, coverage=coverage)
 
 

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import teflow
 from teflow.cli import main, read_config_file
 from teflow.pipeline import REPORT_COLUMNS
 
@@ -144,6 +148,12 @@ class TestDerivedSeries:
         assert run(["vol", "--ohlc", prepared / "norm" / "ohlc.csv", "--method", "gk",
                     "--out", tmp_path]) == 0
         assert (tmp_path / "vol_gk.csv").exists()
+
+    def test_ohlc_saved_with_byte_order_mark(self, tmp_path, prepared):
+        excel = tmp_path / "excel.csv"
+        excel.write_bytes(b"\xef\xbb\xbf" + (prepared / "norm" / "ohlc.csv").read_bytes())
+        assert run(["returns", "--ohlc", excel, "--out", tmp_path]) == 0
+        assert (tmp_path / "returns.csv").read_bytes() == (prepared / "returns.csv").read_bytes()
 
 
 class TestTeCommand:
@@ -541,3 +551,63 @@ class TestDeterminism:
         assert run(args + ["--threads", "1", "--out", out_a]) == 0
         assert run(args + ["--threads", "4", "--out", out_b]) == 0
         assert (out_a / "te_report.csv").read_bytes() == (out_b / "te_report.csv").read_bytes()
+
+
+def run_fresh(code, *args):
+    """Run ``code`` in a new interpreter that imports teflow from where this process does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(teflow.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+PUBLIC_NAMES = """
+    AnalysisReport AnalysisSpec CompositeIndex DatedSeries JointCounts KeywordSet NullCache
+    OhlcBar OhlcSeries ProcessSpec SymbolSeries TeConfig TeEstimate TeflowError WindowResult
+    WindowScheme align apply_transform binary_entropy bootstrap_inference build_composite
+    count_transitions effective_transfer_entropy estimate first_difference
+    garman_klass_volatility generate lag_sweep load_keyword_file load_ohlc_csv load_series_csv
+    load_trend_csv log_returns parkinson_volatility population_te preset run_analysis run_pair
+    shuffle_surrogate_te symbolize transfer_entropy window_analysis
+""".split()
+
+
+class TestImports:
+    def test_data_commands_do_not_load_the_estimator(self, tmp_path):
+        loaded = run_fresh("""
+import json, sys
+from teflow.cli import main
+fixtures, out = sys.argv[1:]
+for argv in (["ingest", "--ohlc", fixtures + "/ohlc.csv", "--trends-dir", fixtures + "/trends",
+              "--out", out],
+             ["index", "--set", "subset3", "--input-dir", out, "--diff", "--out", out],
+             ["returns", "--ohlc", out + "/ohlc.csv", "--out", out],
+             ["vol", "--ohlc", out + "/ohlc.csv", "--out", out]):
+    assert main(argv) == 0, argv
+print(json.dumps([m for m in ("teflow.te", "teflow.pipeline", "teflow.synth") if m in sys.modules]))
+""", FIXTURES, tmp_path)
+        assert loaded == []
+
+    def test_package_names_resolve_on_use(self):
+        found = run_fresh("""
+import json, sys
+import teflow
+loaded = [m for m in sys.modules if m.startswith("teflow.")]
+names = {}
+exec("from teflow import *", names)
+del names["__builtins__"]
+print(json.dumps({
+    "loaded_by_import": loaded,
+    "star": sorted(names),
+    "all": teflow.__all__,
+    "version": teflow.__version__,
+    "missing_from_dir": sorted(set(teflow.__all__) - set(dir(teflow))),
+    "home": sorted({name for name, obj in names.items()
+                    if getattr(sys.modules[obj.__module__], name) is not obj}),
+    "submodule": teflow.te.estimate is names["estimate"],
+}))
+""")
+        assert found == {"loaded_by_import": [], "star": PUBLIC_NAMES, "all": PUBLIC_NAMES,
+                         "version": "0.1.0", "missing_from_dir": [], "home": [],
+                         "submodule": True}

@@ -1,16 +1,22 @@
-"""DatedSeries invariants and the generic date,value loader."""
+"""DatedSeries invariants, the dated CSV loaders and the CSV writers."""
 
+import csv
+import io
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teflow import DatedSeries, load_ohlc_csv, load_series_csv, load_trend_csv
+from teflow import DatedSeries, OhlcBar, OhlcSeries, load_ohlc_csv, load_series_csv, load_trend_csv
+from teflow import series as series_module
 from teflow.errors import NonFiniteValue, ParseError, TeflowError
+from teflow.market import garman_klass_values
+from teflow.series import format_value
 
 
 def days(n, start=0):
@@ -94,15 +100,78 @@ def test_oversized_field_is_a_parse_error(tmp_path):
     assert exc.value.line == 2
 
 
-_FIELD = st.one_of(
-    st.dates().map(date.isoformat),
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    p = tmp_path / "excel.csv"
+    p.write_bytes(b"\xef\xbb\xbfdate,open,high,low,close\n2020-01-01,1,2,0.5,1.5\n")
+    assert load_ohlc_csv(p).bars == (OhlcBar(date(2020, 1, 1), 1.0, 2.0, 0.5, 1.5),)
+    p.write_bytes(b"\xef\xbb\xbf" * 2 + b"date,open,high,low,close\n2020-01-01,1,2,0.5,1.5\n")
+    with pytest.raises(ParseError, match="expected header"):
+        load_ohlc_csv(p)  # only one mark is dropped
+    p.write_bytes(b"\xef\xbb\xbfdate,value\n2020-01-01,\xe9\n")
+    with pytest.raises(ParseError, match=r"not UTF-8 text \(byte 25\)") as exc:
+        load_series_csv(p)
+    assert exc.value.line == 2
+
+
+def test_plain_files_are_read_by_columns(tmp_path):
+    """The row loop is not needed for a plain file, with or without an export preamble."""
+    p = tmp_path / "plain.csv"
+    with mock.patch.object(series_module, "_read_rows", side_effect=AssertionError):
+        p.write_text("date,value\n2020-01-01,1.5\n2020-01-03,-2\n")
+        assert load_series_csv(p).values.tolist() == [1.5, -2.0]
+        p.write_text("Category: All categories\n\ndate,value\r\n2020-01-01,3\r\n")
+        assert load_trend_csv(p, "kw").values.tolist() == [3.0]
+        p.write_text("date,open,high,low,close\n2020-01-01,1,2,0.5,1.5\n")
+        assert len(load_ohlc_csv(p)) == 1
+
+
+_DAY = st.integers(0, 12).map(lambda i: (date(2020, 1, 1) + timedelta(days=i)).isoformat())
+_NUMBER = st.one_of(
     st.floats().map(repr),
     st.integers(-5, 150).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1_0", "-0.0", "1e-300", "5e+20"]),
+)
+_FIELD = st.one_of(
+    st.dates().map(date.isoformat),
+    _DAY,
+    _NUMBER,
     st.text(max_size=6),
+    st.builds("{}{}{}".format, st.sampled_from([" ", "\t"]), st.one_of(_DAY, _NUMBER),
+              st.sampled_from(["", " "])),
+    st.builds('"{}"'.format, st.one_of(_DAY, _NUMBER)),
+    st.just("\0"),
 )
 _ROW = st.lists(_FIELD, max_size=6).map(",".join)
-_HEADER = st.sampled_from(["date,value", "date,open,high,low,close", "Category: All", ""])
-_CSV_TEXT = st.builds(lambda head, rows: "\n".join([head, *rows]), _HEADER, st.lists(_ROW, max_size=8))
+_BAR = st.tuples(st.integers(1, 99), st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)).map(
+    lambda t: f"{t[0] + t[1]},{t[0] + max(t[1], t[2]) + t[3]},{t[0]},{t[0] + t[2]}")
+_PREAMBLE = st.sampled_from(["", "\ufeff", "Category: All categories\n\n",
+                             "\ufeffCategory: All categories\n \n"])
+
+
+@st.composite
+def _csv_text(draw):
+    """Dated CSV text, mostly well-formed, with the oddities a loader must reject or tolerate."""
+    header, body = draw(st.sampled_from([("date,value", _NUMBER),
+                                         ("date,open,high,low,close", _BAR)]))
+    rows = draw(st.lists(st.tuples(_DAY, body), max_size=8))
+    if draw(st.booleans()):  # strictly increasing dates, as in a well-formed file
+        rows = [((date(2020, 2, 1) + timedelta(days=i)).isoformat(), v)
+                for i, (_, v) in enumerate(rows)]
+    lines = [draw(st.sampled_from([header, header, "Date , Value", "Category: All", ""]))]
+    lines += [",".join(row) for row in rows]
+    if len(lines) > 2 and draw(st.booleans()):  # move a line break to another comma
+        i = draw(st.integers(1, len(lines) - 2))
+        fields = f"{lines[i]},{lines[i + 1]}".split(",")
+        cut = draw(st.integers(1, len(fields) - 1))
+        lines[i:i + 2] = [",".join(fields[:cut]), ",".join(fields[cut:])]
+    odd = st.one_of(st.tuples(_DAY, _ROW).map(",".join), _ROW, st.sampled_from(["", " \t"]))
+    for line in draw(st.lists(odd, max_size=8)):
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(_PREAMBLE) + end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+_CSV_TEXT = _csv_text()
 
 
 @given(st.one_of(_CSV_TEXT.map(str.encode), st.text().map(str.encode), st.binary()))
@@ -119,3 +188,56 @@ def test_loaders_raise_only_teflow_errors(data):
                 load(path)
             except TeflowError:
                 pass
+
+
+def _outcome(load, path):
+    """What a loader returns, or the type, message, path and line of what it raises."""
+    try:
+        got = load(path)
+    except TeflowError as err:
+        return type(err), str(err), getattr(err, "path", None), getattr(err, "line", None)
+    if isinstance(got, OhlcSeries):
+        return got.bars
+    return got.dates, got.values.tobytes(), got.label
+
+
+@given(_CSV_TEXT)
+@example("date,value\n2020-01-01," + "0" * 200_000 + "\n")
+@example("date,value\n2020-01-01\n1,2020-01-02,2\n")
+@example('date,value\n"2020-01-01","1"\n')
+@example('"date\n2020-01-01,1\n')
+@settings(max_examples=400, deadline=None)
+def test_column_reader_matches_row_loop(text):
+    """Every loader gives the same series, or the same error, as the row loop alone."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        for load in (load_series_csv, load_ohlc_csv, lambda p: load_trend_csv(p, "kw")):
+            got = _outcome(load, path)
+            with mock.patch.object(series_module, "_read_columns", return_value=None):
+                assert got == _outcome(load, path)
+
+
+def _csv_writer_bytes(header, rows):
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_writers_match_csv_writer(tmp_path):
+    values = [-0.0, *garman_klass_values(np.array([1.0]), np.array([1.0]), np.array([1.0]),
+                                         np.array([2.0])), 1e-300, 5e+20]
+    assert np.isnan(values[1])
+    s = DatedSeries(dates=days(4), values=np.array(values), label="volatility_gk",
+                    allow_missing=True)
+    s.to_csv(tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == _csv_writer_bytes(
+        ["date", "value"], ([d.isoformat(), format_value(v)] for d, v in zip(s.dates, values)))
+    prices = [(1e-300, 1e-300, 1e-300, 1e-300), (1.0, 5e+20, 0.5, 2.0), (3.25, 4.0, 1e-300, 1.0)]
+    ohlc = OhlcSeries(bars=tuple(OhlcBar(d, *p) for d, p in zip(days(3), prices)))
+    ohlc.to_csv(tmp_path / "ohlc.csv")
+    assert (tmp_path / "ohlc.csv").read_bytes() == _csv_writer_bytes(
+        ["date", "open", "high", "low", "close"],
+        ([d.isoformat(), *map(format_value, p)] for d, p in zip(days(3), prices)))

@@ -1,5 +1,7 @@
 """Synthetic-process oracle tests: generation determinism and population values."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from teflow import (
     shuffle_surrogate_te,
     transfer_entropy,
 )
-from teflow.errors import InvalidSpec, NoClosedForm
+from teflow.errors import ConfigError, InvalidSpec, NoClosedForm
 
 from oracles import binary_entropy_bits, markov_pair_te_bits
 
@@ -43,6 +45,20 @@ class TestSpecValidation:
     def test_bad_specs_rejected(self, kwargs):
         with pytest.raises(InvalidSpec):
             ProcessSpec(**kwargs)
+
+    @pytest.mark.parametrize("base", [math.inf, math.nan, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["iid_binary", "copy", "coupled_markov"])
+    def test_population_te_log_base_must_be_finite_and_above_one(self, kind, base):
+        tables = {"source_transitions": MARKOV_A, "target_transitions": MARKOV_B}
+        spec = ProcessSpec(kind=kind, length=100, **(tables if kind == "coupled_markov" else {}))
+        with pytest.raises(ConfigError, match="log_base"):
+            population_te(spec, log_base=base)
+
+    @pytest.mark.parametrize("base", [math.inf, math.nan, 0.5, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_binary_entropy_log_base_must_be_finite_and_above_one(self, p, base):
+        with pytest.raises(ConfigError, match="log_base"):
+            binary_entropy(p, base)
 
     def test_generation_deterministic(self):
         spec = ProcessSpec(kind="copy", length=500, seed=77, noise=0.1)

@@ -1,5 +1,6 @@
 """Attention index tests: keyword presets, trend parsing, composites, differencing."""
 
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -140,6 +141,32 @@ class TestComposite:
         for j, d in enumerate(idx.levels.dates):
             todays = [s.values[s.dates.index(d)] for s in series.values() if d in s.dates]
             assert min(todays) - 1e-12 <= idx.levels.values[j] <= max(todays) + 1e-12
+
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.lists(
+        st.one_of(st.floats(-1e300, 1e300), st.just(-0.0), st.just(math.nan)), max_size=6)),
+        min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_date_fsum(self, members):
+        """Bit for bit the mean of each date's present values, summed one date at a time."""
+        series = {f"k{i}": DatedSeries(dates=tuple(day(start + j) for j in range(len(vals))),
+                                       values=np.array(vals, dtype=float), allow_missing=True)
+                  for i, (start, vals) in enumerate(members)}
+        per_date = {}
+        for s in series.values():
+            for d, v in zip(s.dates, s.values.tolist()):
+                if not math.isnan(v):
+                    per_date.setdefault(d, []).append(v)
+        try:
+            idx = build_composite(series, KeywordSet("s", tuple(series)))
+        except NoConstituentData:
+            assert not per_date
+            return
+        dates = sorted(per_date)
+        assert idx.levels.dates == tuple(dates)
+        assert idx.coverage == tuple(len(per_date[d]) for d in dates)
+        expected = np.array([math.fsum(per_date[d]) / len(per_date[d]) for d in dates])
+        assert idx.levels.values.tobytes() == expected.tobytes()
 
 
 class TestFirstDifference:
