@@ -18,7 +18,7 @@ import numpy as np
 from .choices import KINDS, LAG_MODES, PRESET_NAMES, TRANSFORMS
 from .errors import ConfigError, InvalidSpec, ParseError, TeflowError, UsageError
 from .series import (DatedSeries, format_value, join_fields, load_series_csv, read_lines, read_text,
-                     split_fields, write_csv)
+                     split_fields, write_csv, write_lines)
 
 if TYPE_CHECKING:
     from .pipeline import AnalysisReport
@@ -172,8 +172,8 @@ def cmd_index(args) -> None:
     diff = first_difference(composite.levels) if args.diff else None
     levels_path = args.out / f"{kw_set.name}.csv"
     composite.levels.to_csv(levels_path)
-    write_csv(args.out / f"{kw_set.name}_coverage.csv", ["date", "coverage"],
-              ([d.isoformat(), c] for d, c in zip(composite.levels.dates, composite.coverage)))
+    write_lines(args.out / f"{kw_set.name}_coverage.csv", ["date,coverage", *(
+        f"{d.isoformat()},{c}" for d, c in zip(composite.levels.dates, composite.coverage))])
     print(f"index {kw_set.name!r}: {len(composite.levels)} days, "
           f"{len(series_by_keyword)}/{len(kw_set)} keywords -> {levels_path}")
     if diff is not None:
@@ -308,7 +308,13 @@ def cmd_synthgen(args) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as UsageError, so main() reports them like any other input error."""
+    """Raises usage errors as UsageError, so main() reports them like any other input error.
+
+    Flags must be spelled in full, so that _inject_config sees every flag given.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{message} (see '{self.prog} --help')")

@@ -33,10 +33,6 @@ def apply_transform(series: DatedSeries, transform: str) -> DatedSeries:
     raise ConfigError(f"unknown transform {transform!r}; one of {TRANSFORMS}")
 
 
-def _label(series: DatedSeries, fallback: str) -> str:
-    return series.label or fallback
-
-
 def _direction_config(config: TeConfig, index: int) -> TeConfig:
     # forward and backward get independent stream families from the master seed
     return replace(config, seed=derive_seed(config.seed, _DOMAIN_DIRECTION, index))
@@ -57,8 +53,8 @@ def run_pair(source: DatedSeries, target: DatedSeries, config: TeConfig, *,
         raise SeriesTooShort(
             f"need more than max(k, l) + 1 = {max(config.k, config.l) + 1} aligned observations"
         )
-    src_name = _label(source, "source")
-    tgt_name = _label(target, "target")
+    src_name = source.label or "source"
+    tgt_name = target.label or "target"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degenerate windows are legitimate; TE is 0 there
         s_sym = symbolize(source, config.quantile_cuts)

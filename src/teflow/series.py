@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -55,10 +56,12 @@ class DatedSeries:
         return replace(self, dates=self.dates[start:stop], values=self.values[start:stop])
 
     def drop_missing(self) -> "DatedSeries":
-        """Remove NaN observations; result is a fully finite series."""
+        """Remove NaN observations; a series without ``allow_missing`` is returned as it is."""
+        if not self.allow_missing:
+            return self
         keep = ~np.isnan(self.values)
-        dates = tuple(d for d, k in zip(self.dates, keep) if k)
-        return replace(self, dates=dates, values=self.values[keep], allow_missing=False)
+        return replace(self, dates=tuple(itertools.compress(self.dates, keep)),
+                       values=self.values[keep], allow_missing=False)
 
     def to_csv(self, path) -> None:
         write_lines(path, ["date,value", *(f"{d.isoformat()},{format_value(v)}"
@@ -179,8 +182,8 @@ def _read_rows(lines: list[str], offset: int, path: Path, parse, columns: int,
 def join_fields(items) -> str:
     """``items`` as one CSV line; only an item holding a comma, a quote or a line break is quoted."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(items)
-    return buf.getvalue()
+    csv.writer(buf).writerow(items)  # a line break is quoted only if the terminator holds one
+    return buf.getvalue().removesuffix("\r\n")
 
 
 def split_fields(text: str) -> list[str]:
@@ -190,20 +193,18 @@ def split_fields(text: str) -> list[str]:
 
 def write_csv(path, header, rows) -> None:
     """Write ``header`` then ``rows`` as UTF-8 CSV, creating the parent directory."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    write_lines(path, map(join_fields, [header, *rows]))
 
 
 def write_lines(path, lines) -> None:
-    """Write CSV lines whose fields need no quoting, byte for byte as :func:`write_csv` would."""
+    """Write CSV lines as UTF-8, each ended by CRLF, creating the parent directory.
+
+    The text is built first, so a line that fails to format leaves no file.
+    """
+    text = "\r\n".join([*lines, ""])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join([*lines, ""]))
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def _parse_value(day: date, fields: list[str], path: Path, line: int) -> float:

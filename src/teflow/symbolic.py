@@ -28,6 +28,8 @@ def validate_cuts(quantile_cuts: Sequence[float]) -> tuple[float, ...]:
 class SymbolSeries:
     """A discretized series over the alphabet {0..m-1} plus the bin edges that produced it.
 
+    Symbols are stored in the narrowest unsigned type that holds the
+    alphabet: one byte per symbol for alphabets of up to 256 symbols.
     ``degenerate`` marks series with no variation, collapsed to the single
     symbol 0 (alphabet size 1); downstream transfer entropy of such a series
     is exactly zero.
@@ -41,7 +43,6 @@ class SymbolSeries:
     def __post_init__(self):
         syms = np.asarray(self.symbols, dtype=np.int64)
         edges = np.asarray(self.bin_edges, dtype=float)
-        object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "bin_edges", edges)
         if self.alphabet_size < 1:
             raise ConfigError("alphabet_size must be >= 1")
@@ -51,6 +52,7 @@ class SymbolSeries:
             raise ConfigError("bin_edges must be strictly ascending")
         if syms.size and (syms.min() < 0 or syms.max() >= self.alphabet_size):
             raise ConfigError("symbols must lie in [0, alphabet_size)")
+        object.__setattr__(self, "symbols", syms.astype(np.min_scalar_type(self.alphabet_size - 1)))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -88,12 +90,11 @@ def symbolize(series: DatedSeries | Sequence[float] | np.ndarray,
     if values.min() == values.max():
         warnings.warn("series has no variation; returning single-symbol series",
                       DegenerateSeriesWarning, stacklevel=2)
-        return SymbolSeries(symbols=np.zeros(values.shape[0], dtype=np.int64),
-                            alphabet_size=1, bin_edges=np.empty(0), degenerate=True)
+        return SymbolSeries(symbols=np.zeros(values.shape[0], dtype=int), alphabet_size=1,
+                            bin_edges=np.empty(0), degenerate=True)
 
     edges = np.quantile(values, cuts)
     # heavy ties can collapse neighbouring quantiles; keep edges strictly ascending
     edges = np.unique(edges)
     symbols = np.searchsorted(edges, values, side="left")
-    return SymbolSeries(symbols=symbols.astype(np.int64),
-                        alphabet_size=edges.shape[0] + 1, bin_edges=edges)
+    return SymbolSeries(symbols=symbols, alphabet_size=edges.shape[0] + 1, bin_edges=edges)

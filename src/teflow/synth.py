@@ -15,7 +15,7 @@ import numpy as np
 
 from .choices import KINDS
 from .errors import InvalidSpec, NoClosedForm
-from .te import JointCounts, _check_log_base, transfer_entropy
+from .te import JointCounts, _check_log_base, substream, transfer_entropy
 
 # generator substream domains
 _SRC = 10
@@ -24,10 +24,6 @@ _NOISE = 12
 
 _BURN_IN = 1024
 _MAX_ENUM_STATES = 2_000_000
-
-
-def _rng(seed: int, domain: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(domain,)))
 
 
 def binary_entropy(p: float, log_base: float = 2.0) -> float:
@@ -113,15 +109,15 @@ def generate(spec: ProcessSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw one (source, target) pair; deterministic given spec.seed."""
     n = spec.length
     if spec.kind == "iid_binary":
-        src = _rng(spec.seed, _SRC).integers(0, 2, size=n)
-        tgt = _rng(spec.seed, _TGT).integers(0, 2, size=n)
+        src = substream(spec.seed, _SRC).integers(0, 2, size=n)
+        tgt = substream(spec.seed, _TGT).integers(0, 2, size=n)
         return src, tgt
 
     if spec.kind == "copy":
-        src = _rng(spec.seed, _SRC).integers(0, 2, size=n)
+        src = substream(spec.seed, _SRC).integers(0, 2, size=n)
         tgt = np.empty(n, dtype=np.int64)
-        tgt[: spec.delay] = _rng(spec.seed, _TGT).integers(0, 2, size=spec.delay)
-        flips = _rng(spec.seed, _NOISE).random(n - spec.delay) < spec.noise
+        tgt[: spec.delay] = substream(spec.seed, _TGT).integers(0, 2, size=spec.delay)
+        flips = substream(spec.seed, _NOISE).random(n - spec.delay) < spec.noise
         tgt[spec.delay:] = src[: n - spec.delay] ^ flips
         return src, tgt
 
@@ -132,8 +128,8 @@ def generate(spec: ProcessSpec) -> tuple[np.ndarray, np.ndarray]:
         cum_a = np.cumsum(a, axis=1)
         cum_b = np.cumsum(b, axis=2)
         total = n + _BURN_IN
-        u_x = _rng(spec.seed, _SRC).random(total)
-        u_y = _rng(spec.seed, _TGT).random(total)
+        u_x = substream(spec.seed, _SRC).random(total)
+        u_y = substream(spec.seed, _TGT).random(total)
         src = np.empty(total, dtype=np.int64)
         tgt = np.empty(total, dtype=np.int64)
         x = int(u_x[0] * m_x)
@@ -152,7 +148,7 @@ def generate(spec: ProcessSpec) -> tuple[np.ndarray, np.ndarray]:
     scale = 1.0 / math.sqrt(1.0 - spec.phi ** 2)
     out = []
     for domain in (_SRC, _TGT):
-        eps = _rng(spec.seed, domain).standard_normal(n)
+        eps = substream(spec.seed, domain).standard_normal(n)
         x = np.empty(n)
         x[0] = eps[0] * scale
         for t in range(1, n):

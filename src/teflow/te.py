@@ -48,15 +48,14 @@ Pattern = tuple[int, ...]
 CountKey = tuple[int, Pattern, Pattern]
 
 
-def substream(seed: int, domain: int, index: int) -> np.random.Generator:
-    """Independent generator for one replication, derived from (seed, domain, index)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(domain, index)))
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator derived from ``seed`` and the spawn key, e.g. (domain, index)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def derive_seed(seed: int, domain: int, index: int) -> int:
+def derive_seed(seed: int, *key: int) -> int:
     """Deterministic child seed; used to give each direction its own stream family."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
 def _check_log_base(log_base: float) -> None:
@@ -237,17 +236,16 @@ def _te_rows(target: np.ndarray, sources: np.ndarray,
         np.not_equal(key[1:], key[:-1], out=new[1:])
         new[::span] = True
         start = np.flatnonzero(new)
-        row_first = np.searchsorted(start, np.arange(0, key.size, span))
+        row, offset = np.divmod(start, span)
         # rows in the narrowest type that holds row * m + next, which the stable
         # argsort below then sorts by radix
-        row = np.repeat(np.arange(len(block), dtype=np.min_scalar_type(len(block) * m)),
-                        np.diff(row_first, append=start.size))
+        row = row.astype(np.min_scalar_type(len(block) * m))
         ctx, nxt = np.divmod(key[start], m)
         # contexts: runs of cells with one (target history, source history), split at rows
         first = np.empty(ctx.size, dtype=bool)
         first[0] = True
         np.not_equal(ctx[1:], ctx[:-1], out=first[1:])
-        first[row_first] = True
+        first |= offset == 0
         tn = ctx // m ** l * m + nxt  # per cell, its (target history, next) index
         count = np.diff(start, append=key.size)
         terms = count * solo_log[tn]
@@ -332,15 +330,16 @@ def transfer_entropy(counts: JointCounts, log_base: float = 2.0) -> float:
     return te
 
 
-def _shuffled_sources(source: np.ndarray, m: int, n_reps: int, seed: int) -> np.ndarray:
+def _shuffled_sources(source: np.ndarray, n_reps: int, seed: int) -> np.ndarray:
     """The source under ``n_reps`` uniform permutations, one row each.
 
     Each row's permutation comes from its own substream of ``seed``, so a row
     does not depend on how many are drawn.
     """
     n = source.shape[0]
-    out = np.empty((n_reps, n), dtype=np.min_scalar_type(m - 1))
+    out = np.empty((n_reps, n), dtype=source.dtype)
     for i in range(n_reps):
+        # indexing by a permuted arange is faster than permuting one-byte symbols directly
         out[i] = source[substream(seed, _DOMAIN_SHUFFLE, i).permutation(n)]
     return out
 
@@ -355,9 +354,8 @@ def shuffle_surrogate_te(target: SymbolSeries, source: SymbolSeries, config: TeC
     sources of an earlier call of the same run.
     """
     m = _check_pair(target, source, config.k, config.l)
-    args = (source.symbols, m, config.n_shuffles, config.seed)
-    rows = (_shuffled_sources(*args) if null_cache is None
-            else null_cache.draw(_shuffled_sources, *args))
+    rows = (null_cache or NullCache()).draw(_shuffled_sources, source.symbols,
+                                            config.n_shuffles, config.seed)
     return _te_rows(target.symbols, rows, config.k, config.l, m, config.log_base)
 
 
@@ -487,7 +485,7 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
     p_open = min(1.0, float((upper - lower).sum()))
     in_rounds = 1.0 - (1.0 - p_open) ** order < 0.5
 
-    out = np.empty((n_reps, n), dtype=np.min_scalar_type(m - 1))
+    out = np.empty((n_reps, n), dtype=source.dtype)
     rngs = [substream(seed, _DOMAIN_BOOTSTRAP, i) for i in range(n_reps)]
     starts = np.fromiter((rng.integers(ctx.shape[0]) for rng in rngs), np.int64, n_reps)
     out[:, :order] = source[starts[:, None] + np.arange(order)]
@@ -513,7 +511,7 @@ class NullCache:
     """The shuffled and Markov-bootstrap null sources of one run, reused on an exact match.
 
     A set is keyed by the sha256 of the source symbols and the draw function's
-    other arguments (alphabet size, replication count, seed, and the block
+    other arguments (replication count, seed, and the alphabet size and block
     order for Markov nulls), and is reused only when the whole key matches, so
     reuse cannot change a result. One set is held per (draw function, seed),
     and a new key for that slot replaces it: a run derives one seed per
@@ -555,9 +553,9 @@ def bootstrap_inference(target: SymbolSeries, source: SymbolSeries, config: TeCo
     t, s = target.symbols, source.symbols
     if observed_te is None:
         observed_te = float(_te_rows(t, s[None], config.k, config.l, m, config.log_base)[0])
-    args = (s, m, config.effective_block_order, config.n_bootstrap, config.seed)
-    nulls_src = (_markov_null_sources(*args) if null_cache is None
-                 else null_cache.draw(_markov_null_sources, *args))
+    nulls_src = (null_cache or NullCache()).draw(_markov_null_sources, s, m,
+                                                 config.effective_block_order,
+                                                 config.n_bootstrap, config.seed)
     null_tes = _te_rows(t, nulls_src, config.k, config.l, m, config.log_base)
     std_err = float(null_tes.std(ddof=1)) if config.n_bootstrap > 1 else 0.0
     p_value = float(np.count_nonzero(null_tes >= observed_te) / config.n_bootstrap)

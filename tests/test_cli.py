@@ -472,6 +472,69 @@ class TestExitCodes:
         assert "log_base" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", [
+        "quantile list", "config line", "price field", "price value", "window count",
+        "window size", "joint states", "bootstrap states", "negative seed"])
+    def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, prepared, capsys, case):
+        config = tmp_path / "run.txt"
+        config.write_text("seed = 1\nshuffles 2\n")
+        ohlc = tmp_path / "bars.csv"
+        price = {"price field": "x", "price value": "inf"}.get(case, "1")
+        ohlc.write_text(f"date,open,high,low,close\n2020-01-01,1,2,0.5,1\n"
+                        f"2020-01-02,1,{price},0.5,1\n")
+        pair = ["--source", prepared / "subset3_diff.csv", "--target", prepared / "returns.csv",
+                "--shuffles", "2", "--boot", "5"]
+        command, flags, message = {
+            "quantile list": ("te", ["--quantiles", "a,b"], "bad quantile list 'a,b'"),
+            "config line": ("returns", ["--config", config, "--ohlc", FIXTURES / "ohlc.csv"],
+                            f"{config}:2: expected key = value"),
+            "price field": ("returns", ["--ohlc", ohlc], f"{ohlc}:3: bad price field"),
+            "price value": ("returns", ["--ohlc", ohlc], f"{ohlc}:3: non-finite price"),
+            "window count": ("windows", ["--count", "0"], "window count must be >= 1"),
+            "window size": ("windows", ["--size", "1"], "window size must be >= 2"),
+            "joint states": ("te", ["--k", "40", "--l", "40"],
+                             "joint state space exceeds 64-bit encoding"),
+            "bootstrap states": ("te", ["--block-order", "20"], "bootstrap state space too large"),
+            "negative seed": ("te", ["--seed", "-1"], "seed must be unsigned"),
+        }[case]
+        if command != "returns":
+            flags = [*pair, *flags]
+        out = tmp_path / "out"
+        assert run([command, *flags, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert run([command, *flags, "--out", out, "--json-errors"]) == 2
+        payload = json_error(capsys)
+        assert payload["exit_code"] == 2 and message in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, recorded, abbreviated", [
+        ("index", ["--set", "subset3", "--di"], None, "--di"),
+        ("index", ["--key", "KW"], "set = subset3", "--key"),
+        ("windows", ["--count", "2", "--shuf", "2"], None, "--shuf"),
+        ("windows", ["--si", "400"], "count = 2", "--si"),
+    ], ids=["index", "index-config", "windows", "windows-config"])
+    def test_abbreviated_flag_exits_2(self, tmp_path, prepared, capsys, command, flags,
+                                      recorded, abbreviated):
+        # an abbreviation would slip past --config precedence, which matches flags
+        # by their full spelling, so no flag may be abbreviated
+        kws = tmp_path / "kw.txt"
+        kws.write_text("Bitcoin\n")
+        flags = [kws if f == "KW" else f for f in flags]
+        if recorded is not None:
+            config = tmp_path / "run.txt"
+            config.write_text(f"command = {command}\n{recorded}\n")
+            flags = ["--config", config, *flags]
+        rest = (["--input-dir", prepared / "norm"] if command == "index" else
+                ["--source", prepared / "subset3_diff.csv", "--target", prepared / "returns.csv",
+                 "--boot", "0"])
+        out = tmp_path / "out"
+        assert run([command, *rest, *flags, "--out", out, "--json-errors"]) == 2
+        payload = json_error(capsys)
+        assert payload["error"] == "UsageError"
+        assert f"unrecognized arguments: {abbreviated}" in payload["message"]
+        assert not out.exists()
+
 
 class TestSynthgenCommand:
     def test_writes_pair_with_consecutive_dates(self, tmp_path):

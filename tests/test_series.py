@@ -36,6 +36,11 @@ def test_nan_rejected_unless_allowed():
     assert len(s.drop_missing()) == 1
 
 
+def test_complete_series_drops_nothing():
+    s = DatedSeries(dates=days(3), values=np.array([1.0, 2.0, 3.0]))
+    assert s.drop_missing() is s
+
+
 def test_infinity_never_valid():
     with pytest.raises(NonFiniteValue):
         DatedSeries(dates=days(1), values=np.array([float("inf")]), allow_missing=True)
@@ -241,3 +246,18 @@ def test_writers_match_csv_writer(tmp_path):
     assert (tmp_path / "ohlc.csv").read_bytes() == _csv_writer_bytes(
         ["date", "open", "high", "low", "close"],
         ([d.isoformat(), *map(format_value, p)] for d, p in zip(days(3), prices)))
+
+
+def test_write_csv_matches_csv_writer_and_leaves_no_partial_file(tmp_path):
+    header = ["direction", "lag", "te"]
+    rows = [["a,b->c", 1, 0.25], ['say "hi"', "", 1e-300], ["x\ny", 2, -0.0]]
+    series_module.write_csv(tmp_path / "r.csv", header, rows)
+    assert (tmp_path / "r.csv").read_bytes() == _csv_writer_bytes(header, rows)
+
+    def failing_rows():
+        yield ["ok", 1, 0.5]
+        raise ValueError("row failed to format")
+
+    with pytest.raises(ValueError):
+        series_module.write_csv(tmp_path / "new" / "r.csv", header, failing_rows())
+    assert not (tmp_path / "new" / "r.csv").exists()

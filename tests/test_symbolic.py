@@ -89,6 +89,20 @@ def test_from_symbols_roundtrip():
     assert len(s) == 4
 
 
+@pytest.mark.parametrize("m, dtype", [(1, np.uint8), (3, np.uint8), (256, np.uint8),
+                                       (257, np.uint16)])
+def test_symbols_stored_in_narrowest_unsigned_type(m, dtype):
+    s = SymbolSeries.from_symbols([0, m - 1], m)
+    assert s.symbols.dtype == dtype
+    assert s.symbols.tolist() == [0, m - 1]
+
+
+@pytest.mark.parametrize("symbols", [[-1, 0], [0, 3]])
+def test_out_of_range_symbols_raise_rather_than_wrap(symbols):
+    with pytest.raises(ConfigError):
+        SymbolSeries.from_symbols(symbols, 3)
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_monotone_transform_leaves_symbols_unchanged(data):

@@ -1,5 +1,6 @@
 """Synthetic-process oracle tests: generation determinism and population values."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -161,3 +162,31 @@ class TestEstimatorConvergence:
         raw = transfer_entropy(count_transitions(sym(tgt), sym(src), 1, 1))
         surr = shuffle_surrogate_te(sym(tgt), sym(src), TeConfig(n_shuffles=100, seed=7))
         assert abs(surr.mean() - raw) < 0.003
+
+
+# sha256 of generate's (source, target) as float64 at length 500, per (kind, seed);
+# any change to how the generators are derived or drawn moves them
+GENERATE_SPECS = {
+    "iid_binary": {},
+    "copy": {"delay": 2, "noise": 0.1},
+    "coupled_markov": {"source_transitions": ((0.9, 0.1), (0.2, 0.8)),
+                       "target_transitions": (((0.7, 0.3), (0.1, 0.9)), ((0.6, 0.4), (0.2, 0.8)))},
+    "gaussian_ar1": {"phi": 0.3},
+}
+GENERATE_DIGESTS = {
+    ("iid_binary", 0): "671effffd928e7e9f7a817c191b3b87df191e25a6202bc14abf18f83e8525775",
+    ("iid_binary", 7): "ea99c81adbe1ddef6b57294fd1463402a5444350de61fe55ee5a2a21cf783480",
+    ("copy", 0): "b9d8096ac35c8873d3a8c4ec32ab2ff320c12355df6e76fa328c0d115dcd7ab4",
+    ("copy", 7): "dab19555f8a4847a4d4241076ef7e82ca87aa5da0853166911656461373a4b08",
+    ("coupled_markov", 0): "c534dc8bfe46fa8631d9bfc804671bd64b3b0fee89f69bd60233077b69a85030",
+    ("coupled_markov", 7): "13e166a1ce770aed08738b47547e73d499924f03486562d19957c9db71bfad2e",
+    ("gaussian_ar1", 0): "493d81dd70c0814728cccb3723f776a82cb4f388abb835de75a9745412bdb3fb",
+    ("gaussian_ar1", 7): "d574c5856b95c1a9297dd5f8e7ce705f7470b1ea7d0be49f5b42081cc7999d9b",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(GENERATE_DIGESTS))
+def test_generate_output_is_pinned(kind, seed):
+    src, tgt = generate(ProcessSpec(kind=kind, length=500, seed=seed, **GENERATE_SPECS[kind]))
+    digest = hashlib.sha256(src.astype(np.float64).tobytes() + tgt.astype(np.float64).tobytes())
+    assert digest.hexdigest() == GENERATE_DIGESTS[kind, seed]

@@ -1,5 +1,6 @@
 """Core estimator tests: counting, plug-in TE, surrogates, ETE, bootstrap."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -530,3 +531,37 @@ def test_te_estimate_validates_identity():
     with pytest.raises(InternalConsistencyError):
         TeEstimate(direction="a->b", te=0.5, ete=0.1, surrogate_mean=0.1,
                    std_err=None, p_value=None, n_effective=10, config=TeConfig())
+
+
+def pinned_source():
+    """800 i.i.d. symbols with p = .1/.8/.1; order-1 nulls of it settle in rounds, order-3 step."""
+    return np.random.default_rng(2024).choice(3, size=800, p=[0.1, 0.8, 0.1])
+
+
+def digest_of(rows):
+    """sha256 of the rows' values as int64, whatever type holds them."""
+    return hashlib.sha256(rows.astype(np.int64).tobytes()).hexdigest()
+
+
+class TestSurrogateDrawsArePinned:
+    """Recorded digests of both surrogate builders; moving them moves every report."""
+
+    def test_shuffled_sources(self):
+        rows = te_mod._shuffled_sources(pinned_source(), 20, 11)
+        assert rows.shape == (20, 800)
+        assert digest_of(rows) == "7bbcfb3fb0ec025b563f1307cf5a6a18bde44bfb2b79facee57bb796558fe6a9"
+
+    @pytest.mark.parametrize("order, regime, digest", [
+        (1, ROUNDS, "6f032d648ad39ced0c87ea5cec2203fec39ab1d40ff23b638091f3484e1717bf"),
+        (3, STEPWISE, "a32f1d07b41a635f7b8b879eee4e1e45893a4945799a572d8e087b6401455299"),
+    ])
+    def test_markov_null_sources(self, regimes, order, regime, digest):
+        rows = te_mod._markov_null_sources(pinned_source(), 3, order, 20, 11)
+        assert regimes == {regime}
+        assert rows.shape == (20, 800)
+        assert digest_of(rows) == digest
+
+    def test_draws_keep_the_source_symbol_type(self):
+        source = SymbolSeries.from_symbols(pinned_source(), 3).symbols
+        assert te_mod._shuffled_sources(source, 2, 1).dtype == np.uint8
+        assert te_mod._markov_null_sources(source, 3, 1, 2, 1).dtype == np.uint8
