@@ -37,7 +37,7 @@ _DOMAIN_DIRECTION = 3
 # order; longer ones are sorted into the order in which _te_rows sums them
 _SMALL_N = 64
 
-# codes per block of source rows in the kernel; bounds its working memory
+# cells per block of source rows in the kernel, which bounds its working memory
 _BLOCK_CODES = 1 << 15
 
 # time steps of Markov-null uniforms drawn at once; bounds their memory to
@@ -196,6 +196,15 @@ def _transition_counts(target: np.ndarray, source: np.ndarray,
     return dict(sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1][::-1], kv[0][2][::-1])))
 
 
+def _logs(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element of ``x``, taken once per distinct value.
+
+    Equal doubles have equal logs, so this is bit for bit one log per element.
+    """
+    distinct, where = np.unique(x, return_inverse=True)
+    return np.fromiter(map(math.log, distinct.tolist()), float, distinct.size)[where]
+
+
 def _te_rows(target: np.ndarray, sources: np.ndarray,
              k: int, l: int, m: int, log_base: float) -> np.ndarray:
     """Plug-in TE of ``target`` against each row of the ``(R, n)`` array ``sources``.
@@ -203,7 +212,8 @@ def _te_rows(target: np.ndarray, sources: np.ndarray,
     Bit for bit what :func:`transfer_entropy` gives on the row's cells taken
     in ascending joint-code order: ratios from exact integer products, logs
     from ``math.log`` and each row summed left to right. Rows are keyed and
-    sorted one block of views at a time, which bounds the working memory.
+    sorted in blocks of about ``_BLOCK_CODES`` cells and at most about 4 x
+    ``_BLOCK_CODES`` keys, which bounds the working memory.
     """
     n = target.shape[0]
     h = max(k, l)
@@ -212,16 +222,20 @@ def _te_rows(target: np.ndarray, sources: np.ndarray,
     _, th_rank, th_tot = np.unique(_history_codes(target, h, n, k, m),
                                    return_inverse=True, return_counts=True)
     nxt_th = np.bincount(th_rank * m + target[h:], minlength=th_tot.size * m)
+    tot = np.repeat(th_tot, m)  # per (target history, next), the history's count
     # a cell that is its context's only cell has the ratio (c * T) / (c * N), which
     # rounds to the same double as T / N; tabulate its log per (target history, next)
-    solo_log = np.fromiter(map(math.log, (np.repeat(th_tot, m) / np.maximum(nxt_th, 1)).tolist()),
-                           float, nxt_th.size)
+    solo_log = _logs(tot / np.maximum(nxt_th, 1))
     # per step, the target's part of the context-major key (target history, source
-    # history, next); the keys fit 32 bits at moderate lags, and int32 sorts faster
-    dtype = np.int32 if th_tot.size * m ** (l + 1) < 1 << 31 else np.int64
+    # history, next), in the narrowest type of at least 16 bits that holds every
+    # key: narrow keys sort faster, but 8-bit ones sort slower than 16-bit ones
+    space = th_tot.size * m ** (l + 1)
+    dtype = np.promote_types(np.min_scalar_type(-space), np.int16)
     target_key = (th_rank * m ** (l + 1) + target[h:]).astype(dtype)
     sources = np.asarray(sources)
-    step = max(1, _BLOCK_CODES // span)
+    # about _BLOCK_CODES cells a block, where a row has at most one cell per step
+    # and one per joint code, and at most 4 x _BLOCK_CODES keys
+    step = max(1, _BLOCK_CODES // max(span // 4, min(span, space)))
     out = []
     for lo in range(0, sources.shape[0], step):
         block = sources[lo: lo + step]
@@ -230,24 +244,26 @@ def _te_rows(target: np.ndarray, sources: np.ndarray,
         key += target_key
         key.sort(axis=1)
         key = key.ravel()
-        # cells: runs of equal keys; each row's first key starts one, whatever precedes it
-        new = np.empty(key.size, dtype=bool)
-        new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
+        # cells: runs of equal keys; each row's first key starts one, whatever
+        # precedes it, and so does the end of the block
+        new = np.empty(key.size + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:-1])
         new[::span] = True
-        start = np.flatnonzero(new)
-        row, offset = np.divmod(start, span)
+        bounds = np.flatnonzero(new)
+        start = bounds[:-1]
         # rows in the narrowest type that holds row * m + next, which the stable
         # argsort below then sorts by radix
-        row = row.astype(np.min_scalar_type(len(block) * m))
-        ctx, nxt = np.divmod(key[start], m)
+        row = (start // span).astype(np.min_scalar_type(len(block) * m))
+        cell = key[start]
+        ctx = cell // m
+        nxt = cell - ctx * m
         # contexts: runs of cells with one (target history, source history), split at rows
         first = np.empty(ctx.size, dtype=bool)
         first[0] = True
         np.not_equal(ctx[1:], ctx[:-1], out=first[1:])
-        first |= offset == 0
+        first[1:] |= row[1:] != row[:-1]
         tn = ctx // m ** l * m + nxt  # per cell, its (target history, next) index
-        count = np.diff(start, append=key.size)
+        count = bounds[1:] - start
         terms = count * solo_log[tn]
         # cells that share their context: runs of them make up each such context
         lone = first.copy()
@@ -256,8 +272,7 @@ def _te_rows(target: np.ndarray, sources: np.ndarray,
         c, tn = count[mixed], tn[mixed]
         shared = np.flatnonzero(first[mixed])
         ctx_count = np.repeat(np.add.reduceat(c, shared), np.diff(shared, append=mixed.size))
-        ratio = (c * th_tot[tn // m]) / (ctx_count * nxt_th[tn])
-        terms[mixed] = c * np.fromiter(map(math.log, ratio.tolist()), float, mixed.size)
+        terms[mixed] = c * _logs((c * tot[tn]) / (ctx_count * nxt_th[tn]))
         # put each row's cells in ascending joint-code order (next symbol, then the
         # context); the order moves cells only within a row, so ``row`` stays as it is
         order = np.argsort(row * m + nxt.astype(row.dtype), kind="stable")
@@ -411,7 +426,9 @@ def _draw_in_rounds(out: np.ndarray, lo: int, uniforms: np.ndarray, cuts: np.nda
     out[:, lo: lo + width] = fixed
     # open: lower[j] < u <= upper[j] for some cut j
     idx = np.int32 if out.size < 1 << 31 else np.int64
-    row, col = np.divmod(np.flatnonzero(fixed != above_lower).astype(idx), width)
+    flat_open = np.flatnonzero(fixed != above_lower).astype(idx)
+    row = flat_open // width
+    col = flat_open - row * width
     del fixed, above_lower
     u = uniforms[row, col]
     pos = row * out.shape[1] + col + lo  # into out.ravel(), where each chain's steps are in order

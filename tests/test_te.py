@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,6 +42,33 @@ GOLDEN_TE = 4 / 7 + math.log2(3) / 7 + 2 * math.log2(1.5) / 7
 
 def sym(bits, m=2):
     return SymbolSeries.from_symbols(bits, m)
+
+
+def spy_history_codes(monkeypatch):
+    """Record (shape, dtype) of each block of source rows the kernel encodes."""
+    calls = []
+    encode = te_mod._history_codes
+
+    def spy(arr, offset, n, depth, m, dtype=np.int64):
+        if np.ndim(arr) == 2:
+            calls.append((np.shape(arr), dtype))
+        return encode(arr, offset, n, depth, m, dtype)
+
+    monkeypatch.setattr(te_mod, "_history_codes", spy)
+    return calls
+
+
+def spy_logs(monkeypatch):
+    """Record (values, distinct values) of each array the kernel takes logs of."""
+    calls = []
+    logs = te_mod._logs
+
+    def spy(x):
+        calls.append((x.size, np.unique(x).size))
+        return logs(x)
+
+    monkeypatch.setattr(te_mod, "_logs", spy)
+    return calls
 
 
 class TestCountTransitions:
@@ -213,13 +242,107 @@ class TestKernel:
         assert want[0] > 0.0
         assert _te_rows(t, rows, 2, 28, 2, 2.0).tolist() == want
 
-    def test_block_size_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("histories, dtype", [(4, np.int16), (5, np.int32)])
+    def test_16_bit_key_boundary_matches_count_table(self, monkeypatch, histories, dtype):
+        # m=2, k=3, l=12: keys span histories * 2**13 codes, so 4 target histories
+        # fill 16-bit keys exactly (2**15 codes) and 5 need 32-bit ones
+        rng = np.random.default_rng(histories)
+        s = rng.integers(0, 2, 300)
+        s[1:] &= 1 - s[:-1]  # no two ones in a row: histories 000, 001, 010, 100 and 101
+        if histories == 4:
+            s[2:] &= 1 - s[:-2]  # ones at least three apart: 101 never occurs
+        t = np.concatenate([[0], s[:-1]])  # the target copies the source with delay 1
+        seen = {tuple(t[i - 3: i]) for i in range(12, 300)}
+        assert len(seen) == histories
+        rows = [s, s[rng.permutation(300)], s[rng.permutation(300)]]
+        want = [transfer_entropy(count_transitions(sym(t), sym(r), 3, 12)) for r in rows]
+        assert want[0] > 0.0
+        blocks = spy_history_codes(monkeypatch)
+        assert _te_rows(t, rows, 3, 12, 2, 2.0).tolist() == want
+        assert {np.dtype(d) for _, d in blocks} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("k, l, block_codes, blocks", [
+        # 27 joint codes: a row has few cells, so its keys bound the block
+        pytest.param(1, 1, 300, [2, 2, 2, 1], id="lag1-many-rows"),
+        # 243 joint codes: they bound a row's cells, and so the block
+        pytest.param(2, 2, 600, [2, 2, 2, 1], id="lag2"),
+        # a row of 495 steps has up to 495 cells
+        pytest.param(5, 5, 600, [1] * 7, id="lag5-one-row"),
+        *(pytest.param(lag, lag, 1, [1] * 7, id=f"lag{lag}-one-cell") for lag in (1, 2, 5)),
+    ])
+    def test_block_size_does_not_change_results(self, monkeypatch, k, l, block_codes, blocks):
         rng = np.random.default_rng(3)
         t = rng.integers(0, 3, 500)
         rows = rng.integers(0, 3, (7, 500))
-        whole = _te_rows(t, rows, 2, 2, 3, 2.0)
-        monkeypatch.setattr(te_mod, "_BLOCK_CODES", 1000)  # blocks of 2, 2, 2 and 1 rows
-        assert np.array_equal(_te_rows(t, rows, 2, 2, 3, 2.0), whole)
+        whole = _te_rows(t, rows, k, l, 3, 2.0)  # one block at the default size
+        monkeypatch.setattr(te_mod, "_BLOCK_CODES", block_codes)
+        shapes = spy_history_codes(monkeypatch)
+        assert np.array_equal(_te_rows(t, rows, k, l, 3, 2.0), whole)
+        assert [shape[0] for shape, _ in shapes] == blocks
+        assert whole.tolist() == [transfer_entropy(count_transitions(sym(t, 3), sym(r, 3), k, l))
+                                  for r in rows]
+
+    def test_blocks_hold_many_short_rows(self, monkeypatch):
+        # at k = l = 1 a row of 20000 steps has at most 27 cells, so a block takes
+        # several rows rather than one; at a high lag nearly every step is a cell
+        rng = np.random.default_rng(0)
+        t = rng.integers(0, 3, 20000)
+        rows = rng.integers(0, 3, (300, 20000), dtype=np.uint8)
+        shapes = spy_history_codes(monkeypatch)
+        _te_rows(t, rows, 1, 1, 3, 2.0)
+        assert sum(shape[0] for shape, _ in shapes) == 300
+        assert len(shapes) <= 75
+        shapes.clear()
+        _te_rows(t[:2300], rows[:30, :2300], 5, 5, 3, 2.0)
+        assert [shape[0] for shape, _ in shapes] == [14, 14, 2]
+
+    @pytest.mark.parametrize("k, l, ratios", [
+        (1, 1, "repeated"),  # contexts of many cells; rows repeat, so their ratios do
+        (5, 5, "none"),  # every context has one cell
+        (1, 1, "all"),  # every context has cells of both next symbols
+    ])
+    def test_logs_taken_once_per_distinct_ratio(self, monkeypatch, k, l, ratios):
+        rng = np.random.default_rng(11)
+        m, n = {"repeated": (3, 400), "none": (3, 80), "all": (2, 400)}[ratios]
+        t = rng.integers(0, m, n)
+        s = rng.integers(0, m, n)
+        if ratios == "none":
+            # 3**10 contexts at 75 steps: keep the first two sources where none recurs
+            s, perm = [r for r in (rng.integers(0, m, n) for _ in range(20))
+                       if len({(*t[i - k: i], *r[i - l: i]) for i in range(5, n)}) == n - 5][:2]
+        else:
+            perm = s[rng.permutation(n)]
+        rows = [s, s, perm, s, perm]
+        tables = [count_transitions(sym(t, m), sym(r, m), k, l) for r in rows]
+        # per row, the cells whose context holds other cells too
+        shared = [sum(cells for cells in Counter((th, sh) for _, th, sh in table.counts).values()
+                      if cells > 1) for table in tables]
+        want = [transfer_entropy(table) for table in tables]
+        sizes = spy_logs(monkeypatch)
+        logged = []
+        monkeypatch.setattr(te_mod, "math", types.SimpleNamespace(
+            log=lambda x: logged.append(x) or math.log(x)))
+        assert _te_rows(t, rows, k, l, m, 2.0).tolist() == want
+        (_, solo), (cells, distinct) = sizes  # the solo table, then the one block
+        assert len(logged) == solo + distinct + 1  # and one for the log base
+        assert cells == sum(shared)
+        if ratios == "none":
+            assert cells == 0
+        elif ratios == "all":
+            assert shared == [len(table.counts) for table in tables]
+        else:
+            assert 0 < distinct < cells
+
+    def test_solo_table_with_repeated_ratios(self, monkeypatch):
+        # the target repeats 0, 0, 1, 1: each history is followed by 0 and by 1
+        # equally often, so every (history, next) has T / N = 2
+        t = np.append(np.tile([0, 0, 1, 1], 50), 0)
+        rng = np.random.default_rng(5)
+        rows = [rng.integers(0, 2, 201) for _ in range(3)]
+        sizes = spy_logs(monkeypatch)
+        want = [transfer_entropy(count_transitions(sym(t), sym(r), 1, 1)) for r in rows]
+        assert _te_rows(t, rows, 1, 1, 2, 2.0).tolist() == want
+        assert sizes[0] == (4, 1)
 
     def test_widest_encoding_matches_python_loop(self, monkeypatch):
         # m=2, k=l=30 spans 61 bits, the widest joint code _check_pair accepts
