@@ -13,8 +13,6 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .choices import KINDS, LAG_MODES, PRESET_NAMES, TRANSFORMS
 from .errors import ConfigError, InvalidSpec, ParseError, TeflowError, UsageError
 from .series import (DatedSeries, format_value, join_fields, load_series_csv, read_lines, read_text,
@@ -228,7 +226,7 @@ def _run_pair_command(args, **spec_fields) -> AnalysisReport:
                               "give each target a distinct --target-label")
         series[t.label] = t
         transforms[t.label] = args.target_transform
-    config = TeConfig(k=args.k, l=args.l, quantile_cuts=tuple(args.quantiles),
+    config = TeConfig(k=args.k, l=args.l, quantile_cuts=args.quantiles,
                       log_base=args.base, n_shuffles=args.shuffles, n_bootstrap=args.boot,
                       block_order=args.block_order, seed=args.seed)
     spec = AnalysisSpec(pairs=tuple((source.label, t.label) for t in targets), te_config=config,
@@ -296,10 +294,8 @@ def cmd_synthgen(args) -> None:
     src, tgt = generate(spec)
     start = date(2015, 1, 1)
     dates = tuple(start + timedelta(days=i) for i in range(args.length))
-    DatedSeries(dates=dates, values=np.asarray(src, dtype=float),
-                label="synth_source").to_csv(args.out / "synth_source.csv")
-    DatedSeries(dates=dates, values=np.asarray(tgt, dtype=float),
-                label="synth_target").to_csv(args.out / "synth_target.csv")
+    DatedSeries(dates=dates, values=src, label="synth_source").to_csv(args.out / "synth_source.csv")
+    DatedSeries(dates=dates, values=tgt, label="synth_target").to_csv(args.out / "synth_target.csv")
     print(f"{args.kind} pair of length {args.length} -> {args.out / 'synth_source.csv'}, "
           f"{args.out / 'synth_target.csv'}")
 
@@ -376,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-lag", type=int, default=1)
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument("--mode", choices=LAG_MODES, default="history",
-                   help="history: k=l=lag; shift: shift the source back lag-1 days")
+                   help="history: k=l=lag; shift: keep --k and --l (1 by default) and "
+                        "shift the source back lag-1 days")
     p.set_defaults(func=cmd_lagsweep)
 
     p = sub.add_parser("windows", help="non-overlapping window analysis")

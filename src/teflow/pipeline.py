@@ -82,11 +82,13 @@ def lag_sweep(source: DatedSeries, target: DatedSeries, config: TeConfig,
     """Estimates per lag for both directions.
 
     The default interpretation varies both history lengths jointly
-    (k = l = lag). ``mode="shift"`` instead keeps k = l = 1 and shifts the
-    source back by lag-1 days, as a sensitivity alternative; lag 1 is
-    identical in both modes. With a ``null_cache``, every history-mode lag
-    shares one shuffle set per direction, and with a pinned ``block_order``
-    one null set per direction too.
+    (k = l = lag). ``mode="shift"`` instead keeps the configured k and l (1
+    by default) and shifts the source back by lag-1 days, as a sensitivity
+    alternative; its lag 1 is :func:`run_pair` at the configured k and l,
+    which matches history mode's lag 1 only at k = l = 1. With a
+    ``null_cache``, every history-mode lag shares one shuffle set per
+    direction, and with a pinned ``block_order`` one null set per direction
+    too.
     """
     lo, hi = int(lag_range[0]), int(lag_range[1])
     if lo < 1 or hi < lo:

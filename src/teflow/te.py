@@ -305,7 +305,7 @@ def count_transitions(target: SymbolSeries, source: SymbolSeries, k: int, l: int
     if k < 1 or l < 1:
         raise ConfigError("history lengths k and l must be >= 1")
     m = _check_pair(target, source, k, l)
-    counts = _transition_counts(np.asarray(target.symbols), np.asarray(source.symbols), k, l)
+    counts = _transition_counts(target.symbols, source.symbols, k, l)
     return JointCounts(counts=counts, k=k, l=l, alphabet_size=m)
 
 
@@ -425,14 +425,11 @@ def _draw_in_rounds(out: np.ndarray, lo: int, uniforms: np.ndarray, cuts: np.nda
         above_lower += uniforms > low
     out[:, lo: lo + width] = fixed
     # open: lower[j] < u <= upper[j] for some cut j
-    idx = np.int32 if out.size < 1 << 31 else np.int64
-    flat_open = np.flatnonzero(fixed != above_lower).astype(idx)
-    row = flat_open // width
-    col = flat_open - row * width
+    pos = np.flatnonzero(fixed != above_lower)
     del fixed, above_lower
-    u = uniforms[row, col]
-    pos = row * out.shape[1] + col + lo  # into out.ravel(), where each chain's steps are in order
-    del row, col
+    u = uniforms.ravel()[pos]
+    # from an index into the chunk to one into out.ravel(), where each chain's steps are in order
+    pos += pos // width * (out.shape[1] - width) + lo
     # an open step waits for the open step before it when that is one of its
     # ``order`` predecessors; the trailing False ends the last chain
     waits = np.zeros(pos.size + 1, dtype=bool)
@@ -506,10 +503,11 @@ def _markov_null_sources(source: np.ndarray, m: int, order: int,
     rngs = [substream(seed, _DOMAIN_BOOTSTRAP, i) for i in range(n_reps)]
     starts = np.fromiter((rng.integers(ctx.shape[0]) for rng in rngs), np.int64, n_reps)
     out[:, :order] = source[starts[:, None] + np.arange(order)]
-    uniforms = np.empty((n_reps, min(_NULL_CHUNK, n - order)))
+    uniforms = np.empty(n_reps * min(_NULL_CHUNK, n - order))
     for lo in range(order, n, _NULL_CHUNK):
         hi = min(lo + _NULL_CHUNK, n)
-        chunk = uniforms[:, : hi - lo]
+        # contiguous even when short, so that _draw_in_rounds ravels it without a copy
+        chunk = uniforms[: n_reps * (hi - lo)].reshape(n_reps, hi - lo)
         for row, rng in zip(chunk, rngs):
             rng.random(out=row)
         if in_rounds:

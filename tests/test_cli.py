@@ -474,7 +474,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", [
         "quantile list", "config line", "price field", "price value", "window count",
-        "window size", "joint states", "bootstrap states", "negative seed"])
+        "window size", "joint states", "bootstrap states", "negative seed", "history length",
+        "block order length"])
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, prepared, capsys, case):
         config = tmp_path / "run.txt"
         config.write_text("seed = 1\nshuffles 2\n")
@@ -496,6 +497,11 @@ class TestExitCodes:
                              "joint state space exceeds 64-bit encoding"),
             "bootstrap states": ("te", ["--block-order", "20"], "bootstrap state space too large"),
             "negative seed": ("te", ["--seed", "-1"], "seed must be unsigned"),
+            # the fixture pair has 614 aligned rows
+            "history length": ("te", ["--k", "613"],
+                               "need more than max(k, l) + 1 = 614 aligned observations"),
+            "block order length": ("te", ["--block-order", "614"],
+                                   "need more than block_order = 614 observations"),
         }[case]
         if command != "returns":
             flags = [*pair, *flags]

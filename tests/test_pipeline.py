@@ -25,6 +25,7 @@ from teflow.errors import (
     EmptyIntersection,
     InvariantViolation,
     LagTooLargeForSample,
+    SeriesTooShort,
     WindowTooSmall,
 )
 from teflow.pipeline import REPORT_COLUMNS
@@ -154,6 +155,15 @@ class TestLagSweep:
         b = lag_sweep(src, tgt, FAST, (1, 1), mode="shift")
         assert a == b
 
+    def test_shift_mode_keeps_configured_histories(self):
+        src, tgt = synthetic_pair(500, 8)
+        cfg = replace(FAST, k=2, l=2)
+        fwd, bwd = run_pair(src, tgt, cfg)
+        curves = lag_sweep(src, tgt, cfg, (1, 1), mode="shift")
+        assert curves["x->y"][0][1] == fwd
+        assert curves["y->x"][0][1] == bwd
+        assert curves != lag_sweep(src, tgt, cfg, (1, 1), mode="history")
+
     def test_shift_mode_finds_delay_with_short_history(self):
         src, tgt = synthetic_pair(6000, 9, kind="copy", delay=3)
         cfg = TeConfig(n_shuffles=30, n_bootstrap=100, seed=17)
@@ -173,6 +183,14 @@ class TestLagSweep:
         src, tgt = synthetic_pair(100, 11)
         with pytest.raises(ConfigError):
             lag_sweep(src, tgt, FAST, (0, 2))
+        with pytest.raises(ConfigError, match="unknown lag mode 'bogus'"):
+            lag_sweep(src, tgt, FAST, (1, 2), mode="bogus")
+        # a shift of lag - 1 days leaves n - lag + 1 overlapping days, and
+        # k = l = 1 needs more than 2
+        no_boot = replace(FAST, n_bootstrap=0)
+        assert len(lag_sweep(src, tgt, no_boot, (98, 98), mode="shift")["x->y"]) == 1
+        with pytest.raises(SeriesTooShort, match="lag 99 leaves too few overlapping"):
+            lag_sweep(src, tgt, no_boot, (99, 99), mode="shift")
 
 
 @pytest.mark.filterwarnings("ignore::teflow.errors.LagTooLargeForSample")
@@ -293,6 +311,11 @@ class TestWindowAnalysis:
         assert len(windows) == 2
         assert dropped == 10
 
+    def test_requires_alignment(self):
+        with pytest.raises(InvariantViolation, match="window_analysis"):
+            window_analysis(ds(range(40), "a"), ds(range(40), "b", start=1), FAST,
+                            WindowScheme(count=2))
+
     def test_window_too_small(self):
         src, tgt = synthetic_pair(40, 16)
         with pytest.raises(WindowTooSmall):
@@ -371,6 +394,16 @@ class TestRunAnalysisAndReport:
         with pytest.raises(ConfigError, match="nope"):
             run_analysis(AnalysisSpec(pairs=(("nope", "y"),), te_config=FAST),
                          {"y": ds([1, 2, 3], "y")})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"pairs": ()}, "at least one direction pair"),
+        ({"lag_range": (3, 1)}, "lag range lower bound"),
+        ({"lag_range": (0, 2)}, "lag range lower bound"),
+        ({"transforms": {"x": "zscore"}}, "unknown transform 'zscore' for 'x'"),
+    ], ids=["no pairs", "reversed lags", "lag zero", "transform"])
+    def test_invalid_spec_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            AnalysisSpec(**{"pairs": (("x", "y"),), "te_config": FAST, **fields})
 
     def test_report_reproducible(self, tmp_path):
         a = self.make_report(tmp_path)

@@ -127,6 +127,19 @@ class TestCoupledMarkov:
         te = transfer_entropy(count_transitions(sym(tgt), sym(src), 1, 1))
         assert te == pytest.approx(population_te(spec, 1, 1), abs=0.01)
 
+    def test_population_skips_zero_probability_paths(self):
+        # a fair i.i.d. source that the target copies with delay 1: the tables
+        # hold zeros, so some windows have probability 0
+        spec = ProcessSpec(kind="coupled_markov", length=20000, seed=4,
+                           source_transitions=((0.5, 0.5), (0.5, 0.5)),
+                           target_transitions=(((1, 0), (0, 1)), ((1, 0), (0, 1))))
+        assert population_te(spec, 1, 1) == 1.0
+        assert population_te(spec, 2, 2) == 1.0
+        src, tgt = generate(spec)
+        assert np.array_equal(tgt[1:], src[:-1])
+        te = transfer_entropy(count_transitions(sym(tgt), sym(src), 1, 1))
+        assert te == pytest.approx(1.0, abs=0.01)
+
     def test_row_stochastic_sampling(self):
         src, tgt = generate(self.spec(n=50000))
         # empirical source transition frequencies approach the matrix

@@ -104,6 +104,11 @@ class TestCountTransitions:
         with pytest.raises(SeriesTooShort):
             count_transitions(sym([0, 1]), sym([1, 0]), 2, 2)
 
+    @pytest.mark.parametrize("k, l", [(0, 1), (1, 0)])
+    def test_history_lengths_must_be_positive(self, k, l):
+        with pytest.raises(ConfigError, match="k and l must be >= 1"):
+            count_transitions(sym([0, 1, 0]), sym([1, 0, 1]), k, l)
+
     def test_histories_are_most_recent_first(self):
         counts = count_transitions(sym([0, 1, 2, 0], 3), sym([2, 1, 0, 2], 3), 2, 2)
         # single tuple at t=2 and t=3
